@@ -340,14 +340,10 @@ func BenchmarkCompileSuite(b *testing.B) {
 
 // BenchmarkStressCompile compiles the synthetic stress function — one
 // large goto state machine (difftest.GenerateStress via bench) whose flow
-// graph has thousands of blocks — at the JUMPS level with each step-1 path
-// engine. The oracle/matrix ratio here is the headline speedup recorded in
-// BENCH_baseline.json; sizes this big were infeasible when the matrix was
-// the only engine.
+// graph has thousands of blocks — at the JUMPS level: the `stress` section
+// of BENCH_baseline.json.
 func BenchmarkStressCompile(b *testing.B) {
-	for _, eng := range []replicate.PathEngine{replicate.EngineOracle, replicate.EngineMatrix} {
-		b.Run(eng.String(), bench.StressCompileBench(eng, bench.DefaultStressStates))
-	}
+	bench.StressCompileBench(bench.DefaultStressStates)(b)
 }
 
 // BenchmarkVM measures interpreter throughput (instructions/op reported).

@@ -15,11 +15,10 @@
 //	                         history file (one timestamped record per run)
 //
 // The baseline records compile throughput (ns/op, allocs/op, RTLs/sec) of
-// the Table-3 suite per pipeline level, plus the stress-function compile
-// with both step-1 path engines and their speedup ratio, plus per-level
-// acceptance floors. CI validates the committed file with -check and
-// enforces the floors with -gate; regeneration is manual and documented in
-// docs/PERFORMANCE.md.
+// the Table-3 suite per pipeline level, plus the stress-function compile,
+// plus per-level acceptance floors. CI validates the committed file with
+// -check and enforces the floors with -gate; regeneration is manual and
+// documented in docs/PERFORMANCE.md.
 package main
 
 import (
@@ -49,8 +48,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("%s: ok (schema %d, %d suite levels, %d floors, %d stress engines, %d encoded cells, stress speedup %.1fx)\n",
-			*check, bl.Schema, len(bl.Suite), len(bl.Floors), len(bl.Stress), len(bl.Encoded), bl.StressSpeedup)
+		fmt.Printf("%s: ok (schema %d, %d suite levels, %d floors, %d encoded cells, stress %d ns/op)\n",
+			*check, bl.Schema, len(bl.Suite), len(bl.Floors), len(bl.Encoded), bl.Stress[0].NsPerOp)
 		return
 	}
 
@@ -92,10 +91,8 @@ func main() {
 	for _, s := range bl.Suite {
 		fmt.Printf("suite %-8s %12d ns/op %10.0f RTLs/sec\n", s.Level, s.NsPerOp, s.RTLsPerSec)
 	}
-	for _, s := range bl.Stress {
-		fmt.Printf("stress %-7s %12d ns/op %10.0f RTLs/sec\n", s.Engine, s.NsPerOp, s.RTLsPerSec)
-	}
-	fmt.Printf("stress speedup (matrix/oracle): %.1fx\n", bl.StressSpeedup)
+	s := bl.Stress[0]
+	fmt.Printf("stress %12d ns/op %10.0f RTLs/sec\n", s.NsPerOp, s.RTLsPerSec)
 	fmt.Printf("wrote %s\n", *out)
 }
 

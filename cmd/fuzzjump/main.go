@@ -12,7 +12,7 @@
 //	fuzzjump -corpus out/ -report f.jsonl      # persist failures
 //	fuzzjump -inject rollback                  # oracle self-test
 //	fuzzjump -inject undo                      # undo-log self-test
-//	fuzzjump -engine matrix -budget 60         # reference path engine, bigger programs
+//	fuzzjump -budget 60                        # bigger programs
 //
 // Exit status: 0 if the campaign found nothing, 1 if any seed produced a
 // violation, 2 on usage errors.
@@ -58,7 +58,6 @@ func main() {
 	minimize := flag.Bool("minimize", true, "with -corpus: also store a minimized reproducer")
 	maxSteps := flag.Int64("maxsteps", 0, "VM step budget per execution (0 = oracle default)")
 	budget := flag.Int("budget", 0, "generator statement budget per function (0 = generator default); larger programs stress step 1 harder")
-	engineName := flag.String("engine", "", "step-1 path engine: oracle (default) or matrix")
 	residual := flag.Bool("residual", false, "enable the opt-in residual-replicable-jump check")
 	verifyEach := flag.Bool("verify-each", false, "run the semantic IR verifier after every pipeline pass, attributing violations to the offending pass")
 	tvFlag := flag.Bool("tv", false, "validate every applied duplication with the translation validator; rejections surface as tv-rejection verdicts")
@@ -89,11 +88,6 @@ func main() {
 	default:
 		fatal(2, fmt.Errorf("unknown -inject mode %q (want 'rollback' or 'undo')", *inject))
 	}
-	engine, err := replicate.ParseEngine(*engineName)
-	if err != nil {
-		fatal(2, err)
-	}
-	rep.Engine = engine
 
 	if *corpus != "" {
 		if err := os.MkdirAll(*corpus, 0o755); err != nil {

@@ -42,18 +42,12 @@ func main() {
 		return
 	}
 
-	opts := replicate.Options{MaxSeqRTLs: *maxSeq, AllowIndirect: *indirect}
-	switch *heuristic {
-	case "shortest":
-		opts.Heuristic = replicate.HeurShortest
-	case "returns":
-		opts.Heuristic = replicate.HeurReturns
-	case "loops":
-		opts.Heuristic = replicate.HeurLoops
-	default:
-		fmt.Fprintf(os.Stderr, "tables: unknown heuristic %q\n", *heuristic)
+	h, err := replicate.ParseHeuristic(*heuristic)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tables: %v\n", err)
 		os.Exit(2)
 	}
+	opts := replicate.Options{Heuristic: h, MaxSeqRTLs: *maxSeq, AllowIndirect: *indirect}
 
 	if *table == "cap" {
 		capSweep(opts, *quiet)

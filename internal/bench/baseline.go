@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"testing"
 
 	"repro/internal/cfg"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mcc"
 	"repro/internal/pipeline"
-	"repro/internal/replicate"
 )
 
 // BaselineSchema is the schema version written into BENCH_baseline.json;
@@ -24,8 +22,11 @@ import (
 // acceptance bounds enforced by the CI perf gate) and made the suite's
 // allocation measurements mandatory; schema 4 added the DUPS level — the
 // suite, encoded and floors sections grew from three levels to four (12
-// encoded cells), so older files fail the per-level completeness checks.
-const BaselineSchema = 4
+// encoded cells), so older files fail the per-level completeness checks;
+// schema 5 dropped the Floyd–Warshall path engine's stress row and the
+// matrix/oracle stress_speedup, since that engine became a test-only
+// reference.
+const BaselineSchema = 5
 
 // Floor-derivation factors: the committed floor admits throughput down to
 // FloorThroughputFactor of the measured value and allocation counts up to
@@ -38,10 +39,9 @@ const (
 )
 
 // DefaultStressStates is the standard size of the synthetic stress
-// function (difftest.GenerateStress) used by the committed baseline: large
-// enough that step 1 dominates the matrix engine's compile time (~1700
-// blocks before replication), small enough that the matrix leg still
-// finishes in well under a minute.
+// function (difftest.GenerateStress) used by the committed baseline: about
+// 1700 blocks before replication, large enough that the all-pairs step 1
+// the oracle avoids would dominate the compile.
 const DefaultStressStates = 300
 
 // Baseline is the machine-readable performance baseline committed as
@@ -57,13 +57,11 @@ type Baseline struct {
 	// Suite holds one entry per pipeline level: the full Table-3 program
 	// suite compiled front-to-back at that level.
 	Suite []SuiteResult `json:"suite"`
-	// Stress holds one entry per path engine: the synthetic stress
-	// function compiled at the stock 20000-RTL replication ceiling.
+	// Stress holds one entry: the synthetic stress function compiled at
+	// the stock 20000-RTL replication ceiling. It stays a list so that
+	// history records from before schema 5, which carried one entry per
+	// path engine, still load.
 	Stress []StressResult `json:"stress"`
-	// StressSpeedup is the matrix/oracle wall-time ratio of the stress
-	// compiles — the headline number of the on-demand engine (≥3 is the
-	// acceptance floor; see docs/PERFORMANCE.md for measured values).
-	StressSpeedup float64 `json:"stress_speedup"`
 	// Encoded holds the encoded code size of the whole Table-3 suite for
 	// every machine × level cell, with the displacement fixpoint's jump
 	// form split. Unlike the timing sections these numbers are
@@ -135,11 +133,8 @@ type SuiteResult struct {
 	RTLsPerSec float64 `json:"rtls_per_sec"`
 }
 
-// StressResult reports compiling the synthetic stress function with one
-// path engine.
+// StressResult reports compiling the synthetic stress function.
 type StressResult struct {
-	// Engine is the step-1 path engine ("oracle" or "matrix").
-	Engine string `json:"engine"`
 	// States is the difftest.GenerateStress size used.
 	States int `json:"states"`
 	// RTLs is the function's RTL count entering the optimizer.
@@ -198,10 +193,10 @@ func CompileSuiteBench(m *machine.Machine, lv pipeline.Level) func(b *testing.B)
 func StressSource(states int) string { return difftest.GenerateStress(states) }
 
 // StressCompileBench returns a benchmark function that compiles the
-// synthetic stress function at the JUMPS level with the given path engine
-// and the stock 20000-RTL replication ceiling. Shared by the root
-// `go test -bench` macro benchmarks and cmd/bench.
-func StressCompileBench(engine replicate.PathEngine, states int) func(b *testing.B) {
+// synthetic stress function at the JUMPS level with the stock 20000-RTL
+// replication ceiling. Shared by the root `go test -bench` macro
+// benchmarks and cmd/bench.
+func StressCompileBench(states int) func(b *testing.B) {
 	src := StressSource(states)
 	return func(b *testing.B) {
 		b.ReportAllocs()
@@ -210,11 +205,7 @@ func StressCompileBench(engine replicate.PathEngine, states int) func(b *testing
 			if err != nil {
 				b.Fatal(err)
 			}
-			pipeline.Optimize(prog, pipeline.Config{
-				Machine:     machine.M68020,
-				Level:       pipeline.Jumps,
-				Replication: replicate.Options{Engine: engine},
-			})
+			pipeline.Optimize(prog, pipeline.Config{Machine: machine.M68020, Level: pipeline.Jumps})
 		}
 	}
 }
@@ -248,7 +239,7 @@ func MeasureEncoded() ([]EncodedResult, error) {
 }
 
 // RunBaseline measures the full baseline: the Table-3 suite compile at
-// every pipeline level plus the stress compile with both path engines.
+// every pipeline level plus the stress compile.
 // states sizes the stress function (0 = DefaultStressStates). Progress
 // lines go to progress when non-nil (the runs take tens of seconds).
 func RunBaseline(states int, progress io.Writer) (*Baseline, error) {
@@ -271,21 +262,14 @@ func RunBaseline(states int, progress io.Writer) (*Baseline, error) {
 		return nil, fmt.Errorf("bench: compile stress: %w", err)
 	}
 	stressRTLs := progRTLs(stressProg)
-	var byEngine [2]int64
-	for _, engine := range []replicate.PathEngine{replicate.EngineOracle, replicate.EngineMatrix} {
-		logf("stress compile (%d states, %d RTLs) with %s engine...", states, stressRTLs, engine)
-		r := testing.Benchmark(StressCompileBench(engine, states))
-		ns := r.NsPerOp()
-		byEngine[engine] = ns
-		bl.Stress = append(bl.Stress, StressResult{
-			Engine:     engine.String(),
-			States:     states,
-			RTLs:       stressRTLs,
-			NsPerOp:    ns,
-			RTLsPerSec: float64(stressRTLs) * 1e9 / float64(ns),
-		})
-	}
-	bl.StressSpeedup = float64(byEngine[replicate.EngineMatrix]) / float64(byEngine[replicate.EngineOracle])
+	logf("stress compile (%d states, %d RTLs)...", states, stressRTLs)
+	ns := testing.Benchmark(StressCompileBench(states)).NsPerOp()
+	bl.Stress = []StressResult{{
+		States:     states,
+		RTLs:       stressRTLs,
+		NsPerOp:    ns,
+		RTLsPerSec: float64(stressRTLs) * 1e9 / float64(ns),
+	}}
 
 	logf("encoded layout of the suite on %d machines...", len(machine.All()))
 	bl.Encoded, err = MeasureEncoded()
@@ -350,9 +334,9 @@ func LoadBaseline(path string) (*Baseline, error) {
 
 // Validate checks the baseline's structural invariants: known schema, one
 // suite entry per pipeline level with every measurement populated
-// (including the allocation columns the perf gate relies on), both engines
-// in the stress comparison, the full encoded grid, and self-consistent
-// floors — the committed measurements must satisfy their own bounds.
+// (including the allocation columns the perf gate relies on), one stress
+// entry, the full encoded grid, and self-consistent floors — the committed
+// measurements must satisfy their own bounds.
 func (bl *Baseline) Validate() error {
 	if bl.Schema != BaselineSchema {
 		return fmt.Errorf("schema %d, want %d", bl.Schema, BaselineSchema)
@@ -394,23 +378,11 @@ func (bl *Baseline) Validate() error {
 			return fmt.Errorf("floors section is missing level %s", lv)
 		}
 	}
-	engines := map[string]bool{}
-	for _, s := range bl.Stress {
-		if s.NsPerOp <= 0 || s.RTLs <= 0 || s.States <= 0 {
-			return fmt.Errorf("stress engine %q: non-positive measurement", s.Engine)
-		}
-		engines[s.Engine] = true
+	if len(bl.Stress) != 1 {
+		return fmt.Errorf("stress section has %d entries, want 1", len(bl.Stress))
 	}
-	if !engines[replicate.EngineOracle.String()] || !engines[replicate.EngineMatrix.String()] {
-		got := make([]string, 0, len(engines))
-		for e := range engines {
-			got = append(got, e)
-		}
-		sort.Strings(got)
-		return fmt.Errorf("stress comparison must cover both engines, got %v", got)
-	}
-	if bl.StressSpeedup <= 0 {
-		return fmt.Errorf("non-positive stress speedup")
+	if s := bl.Stress[0]; s.NsPerOp <= 0 || s.RTLs <= 0 || s.States <= 0 {
+		return fmt.Errorf("stress: non-positive measurement")
 	}
 	cells := map[string]EncodedResult{}
 	for _, e := range bl.Encoded {

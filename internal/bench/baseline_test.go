@@ -23,12 +23,8 @@ func testBaseline() *Baseline {
 			{Level: "JUMPS", NsPerOp: 120, AllocsPerOp: 5, BytesPerOp: 50, RTLs: 1000, RTLsPerSec: 8e9},
 			{Level: "DUPS", NsPerOp: 125, AllocsPerOp: 5, BytesPerOp: 50, RTLs: 1000, RTLsPerSec: 7e9},
 		},
-		Stress: []StressResult{
-			{Engine: "oracle", States: 300, RTLs: 4000, NsPerOp: 1000, RTLsPerSec: 4e9},
-			{Engine: "matrix", States: 300, RTLs: 4000, NsPerOp: 8000, RTLsPerSec: 5e8},
-		},
-		StressSpeedup: 8,
-		Encoded:       testEncoded(),
+		Stress:  []StressResult{{States: 300, RTLs: 4000, NsPerOp: 1000, RTLsPerSec: 4e9}},
+		Encoded: testEncoded(),
 		Floors: []Floor{
 			{Level: "SIMPLE", MinRTLsPerSec: 4e9, MaxAllocsPerOp: 6},
 			{Level: "LOOPS", MinRTLsPerSec: 3.6e9, MaxAllocsPerOp: 6},
@@ -71,7 +67,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.StressSpeedup != bl.StressSpeedup || len(got.Suite) != 4 || len(got.Stress) != 2 {
+	if got.Stress[0] != bl.Stress[0] || len(got.Suite) != 4 || len(got.Stress) != 1 {
 		t.Fatalf("round trip lost data: %+v", got)
 	}
 }
@@ -82,9 +78,9 @@ func TestBaselineValidateRejects(t *testing.T) {
 		"no machine":      func(b *Baseline) { b.Machine = "" },
 		"missing level":   func(b *Baseline) { b.Suite = b.Suite[:2] },
 		"zero ns":         func(b *Baseline) { b.Suite[0].NsPerOp = 0 },
-		"missing engine":  func(b *Baseline) { b.Stress = b.Stress[:1] },
+		"no stress":       func(b *Baseline) { b.Stress = nil },
+		"two stress rows": func(b *Baseline) { b.Stress = append(b.Stress, b.Stress[0]) },
 		"zero states":     func(b *Baseline) { b.Stress[0].States = 0 },
-		"zero speedup":    func(b *Baseline) { b.StressSpeedup = 0 },
 		"negative rtls/s": func(b *Baseline) { b.Suite[1].RTLsPerSec = -1 },
 		"no encoded":      func(b *Baseline) { b.Encoded = nil },
 		"missing cell":    func(b *Baseline) { b.Encoded = b.Encoded[1:] },

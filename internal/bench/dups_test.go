@@ -36,8 +36,8 @@ func TestDupsReducesDynamicCondBranches(t *testing.T) {
 		if d > j {
 			t.Errorf("%s: DUPS executed %d conditional branches, JUMPS only %d", p.Name, d, j)
 		}
-		// Growth caps respected: the fold budget shares MaxReplications
-		// (default 500) with the JUMPS leg, and the function RTL ceiling
+		// Growth caps respected: the fold budget shares the 500-duplication
+		// bound with the JUMPS leg, and the function RTL ceiling
 		// (default 20000) bounds the whole unit well above any suite
 		// program.
 		rep := runs[pipeline.Dups].Static.Replication

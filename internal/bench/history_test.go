@@ -7,25 +7,18 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/replicate"
 )
 
 // fakeBaseline builds a structurally valid baseline without measuring.
 func fakeBaseline(ns int64) *Baseline {
-	bl := &Baseline{Schema: BaselineSchema, Machine: "68020", StressSpeedup: 3.5}
+	bl := &Baseline{Schema: BaselineSchema, Machine: "68020"}
 	for _, lv := range []string{"SIMPLE", "LOOPS", "JUMPS", "DUPS"} {
 		bl.Suite = append(bl.Suite, SuiteResult{
 			Level: lv, NsPerOp: ns, AllocsPerOp: 1, BytesPerOp: 1,
 			RTLs: 1000, RTLsPerSec: float64(1000) * 1e9 / float64(ns),
 		})
 	}
-	for _, eng := range []replicate.PathEngine{replicate.EngineOracle, replicate.EngineMatrix} {
-		bl.Stress = append(bl.Stress, StressResult{
-			Engine: eng.String(), States: 10, RTLs: 500,
-			NsPerOp: ns, RTLsPerSec: float64(500) * 1e9 / float64(ns),
-		})
-	}
+	bl.Stress = []StressResult{{States: 10, RTLs: 500, NsPerOp: ns, RTLsPerSec: float64(500) * 1e9 / float64(ns)}}
 	bl.Encoded = testEncoded()
 	bl.Floors = DeriveFloors(bl.Suite)
 	return bl

@@ -81,15 +81,13 @@ type Config struct {
 	Machine *machine.Machine
 	Level   Level
 	// Replication tunes the replication passes (LOOPS, JUMPS and DUPS;
-	// ignored at SIMPLE).
+	// ignored at SIMPLE). Its Tracer is replaced by Config.Tracer.
 	Replication replicate.Options
-	// MaxIterations caps the do-while loop of Figure 3 (0 = default 30).
-	MaxIterations int
 	// Tracer, when non-nil, receives telemetry: one obs.EvPass span per
 	// optimization pass (wall time, iteration, RTL/block deltas), one
-	// obs.EvPhase span per function, and — unless Replication.Tracer
-	// overrides it — the replication decision log. Nil disables tracing;
-	// the instrumented paths then cost a single nil check.
+	// obs.EvPhase span per function, and the replication decision log.
+	// Nil disables tracing; the instrumented paths then cost a single nil
+	// check.
 	Tracer obs.Tracer
 	// VerifyEach runs the semantic IR verifier (internal/verify) after
 	// every pass and attributes the first violation to the pass that
@@ -136,12 +134,8 @@ type Config struct {
 	corruptCert func(f *cfg.Func, cert *tv.Certificate)
 }
 
-func (c Config) maxIterations() int {
-	if c.MaxIterations == 0 {
-		return 30
-	}
-	return c.MaxIterations
-}
+// maxIterations caps the do-while loop of Figure 3.
+const maxIterations = 30
 
 func (c Config) jobs() int {
 	if c.Jobs <= 0 {
@@ -226,16 +220,12 @@ func optimizeParallel(p *cfg.Program, c Config, jobs int, st *Stats) {
 		jobs = n
 	}
 	results := make([]Stats, n)
-	// One buffer array per distinct sink. When Replication.Tracer is nil it
-	// inherits the (buffered) pipeline tracer inside replicatePass, so the
-	// decision log interleaves with the pass spans exactly as on the serial
-	// path.
-	var pbufs, rbufs []bufTracer
+	// replicatePass hands the (buffered) pipeline tracer to replication, so
+	// the decision log interleaves with the pass spans exactly as on the
+	// serial path.
+	var bufs []bufTracer
 	if c.Tracer != nil {
-		pbufs = make([]bufTracer, n)
-	}
-	if c.Replication.Tracer != nil {
-		rbufs = make([]bufTracer, n)
+		bufs = make([]bufTracer, n)
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -250,11 +240,8 @@ func optimizeParallel(p *cfg.Program, c Config, jobs int, st *Stats) {
 				}
 				cf := c
 				cf.OnViolation = nil // delivered post-merge, in func order
-				if pbufs != nil {
-					cf.Tracer = &pbufs[i]
-				}
-				if rbufs != nil {
-					cf.Replication.Tracer = &rbufs[i]
+				if bufs != nil {
+					cf.Tracer = &bufs[i]
 				}
 				results[i] = optimizeFunc(p.Funcs[i], cf)
 			}
@@ -262,14 +249,9 @@ func optimizeParallel(p *cfg.Program, c Config, jobs int, st *Stats) {
 	}
 	wg.Wait()
 	for i := range results {
-		if pbufs != nil {
-			for _, e := range pbufs[i].events {
+		if bufs != nil {
+			for _, e := range bufs[i].events {
 				c.Tracer.Emit(e)
-			}
-		}
-		if rbufs != nil {
-			for _, e := range rbufs[i].events {
-				c.Replication.Tracer.Emit(e)
 			}
 		}
 		if c.OnViolation != nil {
@@ -284,9 +266,7 @@ func optimizeParallel(p *cfg.Program, c Config, jobs int, st *Stats) {
 // replicatePass runs the configured replication algorithm.
 func replicatePass(f *cfg.Func, c Config) replicate.Result {
 	opts := c.Replication
-	if opts.Tracer == nil {
-		opts.Tracer = c.Tracer
-	}
+	opts.Tracer = c.Tracer
 	switch c.Level {
 	case Loops:
 		return replicate.LOOPS(f, opts)
@@ -476,7 +456,7 @@ func optimizeFunc(f *cfg.Func, c Config) Stats {
 	iters := 0
 	replicating := true
 	pr.stage = "loop"
-	for iters < c.maxIterations() {
+	for iters < maxIterations {
 		iters++
 		pr.iter = iters
 		changed := false
@@ -490,11 +470,16 @@ func optimizeFunc(f *cfg.Func, c Config) Stats {
 		changed = pr.run("fold-branches", func() bool { return opt.FoldBranches(f) }) || changed
 		changed = pr.run("delete-jumps-to-next", func() bool { return cfg.DeleteJumpsToNext(f) }) || changed
 		if replicating {
-			before := progressMetric(f, c.Level)
+			// Every replicating level, DUPS included, measures progress by
+			// the static jump count, so DUPS's jump-replication phase walks
+			// the trajectory JUMPS would. A fold's progress is dynamic,
+			// invisible to any static count, so it is credited from the
+			// BranchesFolded delta instead.
+			before := replicate.ProfitJumps.Metric(f)
 			foldsBefore := st.Replication.BranchesFolded
 			repChanged := pr.run("replicate", replicateHere)
 			pr.run("dead-code", func() bool { return opt.DeadCodeElimination(f) })
-			after := progressMetric(f, c.Level)
+			after := replicate.ProfitJumps.Metric(f)
 			if after < before || st.Replication.BranchesFolded > foldsBefore {
 				changed = true
 			} else if repChanged {
@@ -559,29 +544,6 @@ func optimizeFunc(f *cfg.Func, c Config) Stats {
 		})
 	}
 	return st
-}
-
-// staticJumpCount counts unconditional direct jumps in the function.
-func staticJumpCount(f *cfg.Func) int {
-	n := 0
-	for _, b := range f.Blocks {
-		for ii := range b.Insts {
-			if b.Insts[ii].Kind == rtl.Jmp {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// progressMetric is the static count replication must keep lowering for
-// the Figure-3 loop to keep invoking it: the unconditional-jump count
-// (§5.2). DUPS uses the same metric so its jump-replication phase walks
-// the identical trajectory the JUMPS level would — a fold's progress is
-// dynamic, invisible to any static count, so the loop in optimizeFunc
-// credits it from the BranchesFolded delta instead.
-func progressMetric(f *cfg.Func, l Level) int {
-	return staticJumpCount(f)
 }
 
 // count fills the static instruction statistics.

@@ -22,6 +22,7 @@ func TestTVCleanPipeline(t *testing.T) {
 			certs := 0
 			st := Optimize(compileFor(t, verifyEachSrc), Config{
 				Machine: m, Level: lv, TV: true,
+				Jobs: 1, // the hook's counter is not synchronized
 				Replication: replicate.Options{
 					OnCertificate: func(*cfg.Func, *tv.Certificate) { certs++ },
 				},
@@ -101,6 +102,7 @@ func TestTVRejectionAttribution(t *testing.T) {
 				Machine: machine.M68020,
 				Level:   Jumps,
 				TV:      true,
+				Jobs:    1, // one injection, into the first function to run
 				OnViolation: func(v verify.Violation) {
 					seen = append(seen, v)
 				},
@@ -207,6 +209,7 @@ func TestVerifyEachAttributionUnderTV(t *testing.T) {
 				Level:      Jumps,
 				VerifyEach: true,
 				TV:         true,
+				Jobs:       1, // one injection, into the first function to run
 				corruptAfter: func(pass string, f *cfg.Func) {
 					if pass == c.pass && !corrupted {
 						corrupted = true
@@ -248,6 +251,7 @@ func TestTVUndoInjection(t *testing.T) {
 		Machine: machine.M68020,
 		Level:   Jumps,
 		TV:      true,
+		Jobs:    1, // the hook's slice is not synchronized
 		Replication: replicate.Options{
 			ForceRollback: true,
 			OnCertificate: func(_ *cfg.Func, c *tv.Certificate) {

@@ -139,6 +139,7 @@ func TestVerifyEachAttribution(t *testing.T) {
 				Machine:    c.machine,
 				Level:      Jumps,
 				VerifyEach: true,
+				Jobs:       1, // one injection, into the first function to run
 				OnViolation: func(v verify.Violation) {
 					seen = append(seen, v)
 				},

@@ -143,7 +143,7 @@ func newBudget(f *cfg.Func, opts Options, p Profit) *budget {
 // exhausted reports whether the pass must stop: duplication bound reached,
 // function grown past its RTL ceiling, or the futility cutoff tripped.
 func (g *budget) exhausted(f *cfg.Func) bool {
-	return g.reps >= g.opts.maxReplications() ||
+	return g.reps >= maxReplications ||
 		g.futile >= maxFutile ||
 		f.NumRTLs() > g.opts.maxFuncRTLs()
 }

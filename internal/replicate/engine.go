@@ -1,63 +1,24 @@
 package replicate
 
 import (
-	"fmt"
+	"math"
 
 	"repro/internal/cfg"
 	"repro/internal/rtl"
 )
 
-// PathEngine selects the implementation of step 1 of the JUMPS algorithm:
-// the shortest-RTL-path computation over the flow graph that every
-// candidate replication sequence is read from.
-type PathEngine uint8
-
-// The available path engines.
-const (
-	// EngineOracle is the default: an on-demand single-source engine that
-	// runs Dijkstra lazily from each queried jump target and memoizes the
-	// result for the lifetime of the sweep. Only jump targets are ever
-	// queried, so the all-pairs work of the paper's step 1 is skipped; on
-	// large functions this is the difference between O(J·E·log V) and
-	// O(V³) per sweep.
-	EngineOracle PathEngine = iota
-	// EngineMatrix is the paper's formulation: the all-pairs Warshall/Floyd
-	// matrix built eagerly once per sweep. Retained as the differential
-	// reference — both engines answer every query identically (asserted by
-	// the engine-equivalence tests), so the matrix mode exists for
-	// cross-checking and benchmarking, not for production use.
-	EngineMatrix
-)
-
-// String returns the wire name of the engine ("oracle" or "matrix").
-func (e PathEngine) String() string {
-	switch e {
-	case EngineOracle:
-		return "oracle"
-	case EngineMatrix:
-		return "matrix"
-	}
-	return fmt.Sprintf("engine(%d)", uint8(e))
-}
-
-// ParseEngine converts a wire/CLI name to a PathEngine ("" = oracle).
-func ParseEngine(s string) (PathEngine, error) {
-	switch s {
-	case "", "oracle":
-		return EngineOracle, nil
-	case "matrix":
-		return EngineMatrix, nil
-	}
-	return EngineOracle, fmt.Errorf("replicate: unknown path engine %q (want oracle or matrix)", s)
-}
+// inf is the "no path" distance.
+const inf = math.MaxInt32
 
 // pathFinder abstracts step 1 for the sweep: per-block RTL costs, pairwise
 // shortest distances (RTL count over the path, both endpoints included),
-// and canonical shortest paths. Both implementations answer from a
-// snapshot of the flow graph taken at construction (sweep start) — the
-// sweep deliberately keeps using that snapshot while replications mutate
-// the function, exactly as the paper's once-per-sweep matrix does; the
-// next sweep constructs a fresh finder, which is the invalidation point.
+// and canonical shortest paths. It answers from a snapshot of the flow
+// graph taken at construction (sweep start) — the sweep deliberately keeps
+// using that snapshot while replications mutate the function, exactly as
+// the paper's once-per-sweep matrix does; the next sweep constructs a
+// fresh finder, which is the invalidation point. The sweep uses the
+// on-demand pathOracle; the package's tests compare it against the
+// paper's Floyd–Warshall matrix (matrix_test.go).
 type pathFinder interface {
 	// cost returns the snapshot RTL count of block i.
 	cost(i int) int
@@ -70,22 +31,18 @@ type pathFinder interface {
 	path(i, j int) []int
 }
 
-// newPathFinder builds the configured engine over the current flow graph.
-func newPathFinder(f *cfg.Func, e *cfg.Edges, engine PathEngine) pathFinder {
-	snap := snapshotGraph(f, e)
-	if engine == EngineMatrix {
-		return newPathMatrix(snap)
-	}
-	return newPathOracle(snap)
-}
+// oracleFinder builds the path finder of every production sweep over its
+// sweep-start snapshot.
+func oracleFinder(s *graphSnapshot) pathFinder { return newPathOracle(s) }
 
 // graphSnapshot captures the flow graph's costs and transitions at sweep
 // start: per-block RTL counts plus successor/predecessor adjacency with the
 // paper's step-1 exclusions applied (no self-reflexive transitions, no
 // transitions out of blocks ending in indirect jumps — a jump table cannot
-// be spliced into straight-line code). Both engines and the shared path
-// reconstruction read only this snapshot, which is what makes their
-// answers identical while the sweep mutates the underlying function.
+// be spliced into straight-line code). The oracle, the test-only matrix and
+// the shared path reconstruction read only this snapshot, which is what
+// makes their answers identical while the sweep mutates the underlying
+// function.
 type graphSnapshot struct {
 	cost  []int
 	succs [][]int
@@ -146,7 +103,7 @@ func snapshotGraph(f *cfg.Func, e *cfg.Edges) *graphSnapshot {
 }
 
 // canonPath reconstructs the canonical shortest path from src to dst out
-// of single-source distances alone, so every engine that computes correct
+// of single-source distances alone, so every finder that computes correct
 // distances yields byte-identical candidate sequences. distTo(x) must
 // return the minimal RTL count src..x (both endpoints included), inf when
 // unreachable, and cost[src] for x == src (the trivial path).

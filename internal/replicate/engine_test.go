@@ -11,18 +11,25 @@ import (
 	"repro/internal/rtl"
 )
 
-// fixtureSrcs names every RTL-text fixture of the package; the engine
-// differential tests run each through both path engines.
+// fixtureSrcs names every RTL-text fixture of the package; the
+// differential tests run each through both path finders.
 var fixtureSrcs = map[string]string{
 	"table1":   table1Src,
 	"table2":   table2Src,
 	"forShape": forShapeSrc,
 }
 
-// jumpsTrace runs JUMPS over a fresh parse of src with the given engine and
-// returns the OmitTimings JSONL decision trace plus the resulting function
-// text and counters.
-func jumpsTrace(t *testing.T, src string, engine PathEngine, opts Options) (trace []byte, text string, res Result) {
+// finders lists both step-1 implementations: the paper's Floyd–Warshall
+// matrix (the reference) and the on-demand oracle every sweep uses.
+var finders = []struct {
+	name string
+	fn   func(*graphSnapshot) pathFinder
+}{{"matrix", matrixFinder}, {"oracle", oracleFinder}}
+
+// jumpsTrace runs JUMPS over a fresh parse of src with the given path
+// finder and returns the OmitTimings JSONL decision trace plus the
+// resulting function text and counters.
+func jumpsTrace(t *testing.T, src string, finder func(*graphSnapshot) pathFinder, opts Options) (trace []byte, text string, res Result) {
 	t.Helper()
 	f, err := cfg.ParseFunc(src)
 	if err != nil {
@@ -31,21 +38,20 @@ func jumpsTrace(t *testing.T, src string, engine PathEngine, opts Options) (trac
 	var buf bytes.Buffer
 	w := obs.NewJSONLWriter(&buf)
 	w.OmitTimings = true
-	opts.Engine = engine
 	opts.Tracer = w
-	res = JUMPS(f, opts)
+	res = jumps(f, opts, finder)
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes(), f.String(), res
 }
 
-// TestEngineEquivalenceFixtures is the differential proof artifact for the
-// dual-engine design: every fixture, under every heuristic and the main
-// option toggles, must produce byte-identical JSONL decision traces — and
-// therefore identical candidate sequences, rollbacks, and final code —
-// whether step 1 is answered by the all-pairs matrix or the on-demand
-// oracle.
+// TestEngineEquivalenceFixtures is the differential proof that the oracle
+// reproduces the paper's step 1: every fixture, under every heuristic and
+// the main option toggles, must produce byte-identical JSONL decision
+// traces — and therefore identical candidate sequences, rollbacks, and
+// final code — whether step 1 is answered by the all-pairs matrix or the
+// on-demand oracle.
 func TestEngineEquivalenceFixtures(t *testing.T) {
 	variants := []Options{
 		{},
@@ -59,8 +65,8 @@ func TestEngineEquivalenceFixtures(t *testing.T) {
 	for name, src := range fixtureSrcs {
 		for vi, opts := range variants {
 			t.Run(fmt.Sprintf("%s/variant%d", name, vi), func(t *testing.T) {
-				mTrace, mText, mRes := jumpsTrace(t, src, EngineMatrix, opts)
-				oTrace, oText, oRes := jumpsTrace(t, src, EngineOracle, opts)
+				mTrace, mText, mRes := jumpsTrace(t, src, matrixFinder, opts)
+				oTrace, oText, oRes := jumpsTrace(t, src, oracleFinder, opts)
 				if !bytes.Equal(mTrace, oTrace) {
 					t.Errorf("decision traces differ:\nmatrix:\n%s\noracle:\n%s", mTrace, oTrace)
 				}
@@ -75,11 +81,11 @@ func TestEngineEquivalenceFixtures(t *testing.T) {
 	}
 }
 
-// TestEngineEquivalenceRandomGraphs cross-checks the two engines
-// exhaustively at the query level: on randomly wired flow graphs, every
-// pairwise distance and every canonical path must agree. This covers
+// TestEngineEquivalenceRandomGraphs cross-checks the oracle against the
+// matrix exhaustively at the query level: on randomly wired flow graphs,
+// every pairwise distance and every canonical path must agree. This covers
 // queries the sweep never issues (i == j diagonals, unreachable pairs,
-// dense fan-in ties) and pins the engines to each other independently of
+// dense fan-in ties) and pins the two to each other independently of
 // JUMPS.
 func TestEngineEquivalenceRandomGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -151,24 +157,28 @@ func TestEngineEquivalenceRandomGraphs(t *testing.T) {
 	}
 }
 
-// TestParseEngine pins the wire names.
-func TestParseEngine(t *testing.T) {
+// TestParseHeuristic pins the wire and CLI spellings: exactly "" and
+// "shortest", "returns" and "loops" are accepted; the frequency heuristic
+// has no name.
+func TestParseHeuristic(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
-		want PathEngine
+		want Heuristic
 		err  bool
 	}{
-		{"", EngineOracle, false},
-		{"oracle", EngineOracle, false},
-		{"matrix", EngineMatrix, false},
-		{"floyd", EngineOracle, true},
+		{"", HeurShortest, false},
+		{"shortest", HeurShortest, false},
+		{"returns", HeurReturns, false},
+		{"loops", HeurLoops, false},
+		{"frequency", HeurShortest, true},
+		{"Loops", HeurShortest, true},
 	} {
-		got, err := ParseEngine(tc.in)
+		got, err := ParseHeuristic(tc.in)
 		if (err != nil) != tc.err || got != tc.want {
-			t.Errorf("ParseEngine(%q) = %v, %v; want %v, err=%v", tc.in, got, err, tc.want, tc.err)
+			t.Errorf("ParseHeuristic(%q) = %v, %v; want %v, err=%v", tc.in, got, err, tc.want, tc.err)
 		}
-	}
-	if EngineOracle.String() != "oracle" || EngineMatrix.String() != "matrix" {
-		t.Error("String() names drifted from wire names")
+		if !tc.err && tc.in != "" && got.String() != tc.in {
+			t.Errorf("ParseHeuristic(%q).String() = %q", tc.in, got)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package replicate
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/cfg"
@@ -44,6 +45,21 @@ func (h Heuristic) String() string {
 	return "heuristic(?)"
 }
 
+// ParseHeuristic converts a wire or CLI name to a Heuristic: "" or
+// "shortest", "returns" or "loops". HeurFrequency has no name here; the
+// tests and ablations that study it set it directly.
+func ParseHeuristic(s string) (Heuristic, error) {
+	switch s {
+	case "", "shortest":
+		return HeurShortest, nil
+	case "returns":
+		return HeurReturns, nil
+	case "loops":
+		return HeurLoops, nil
+	}
+	return HeurShortest, fmt.Errorf("replicate: unknown heuristic %q (want shortest, returns or loops)", s)
+}
+
 // Options configures the JUMPS algorithm.
 type Options struct {
 	// Heuristic picks between favoring-returns and favoring-loops
@@ -62,13 +78,6 @@ type Options struct {
 	// MaxFuncRTLs stops replication once a function reaches this many RTLs
 	// (0 = default 20000); a safety valve against pathological growth.
 	MaxFuncRTLs int
-	// MaxReplications bounds replications per invocation (0 = default 500).
-	MaxReplications int
-	// Engine selects the step-1 shortest-path implementation: the default
-	// on-demand oracle (EngineOracle) or the paper's eager all-pairs matrix
-	// (EngineMatrix), kept as a differential reference. Both produce
-	// identical candidate sequences and decision traces.
-	Engine PathEngine
 	// Tracer, when non-nil, receives one obs.EvDecision event per jump
 	// considered: the candidate sequences with their RTL costs, which were
 	// rolled back, and the outcome.
@@ -133,12 +142,8 @@ func (o Options) maxFuncRTLs() int {
 	return o.MaxFuncRTLs
 }
 
-func (o Options) maxReplications() int {
-	if o.MaxReplications == 0 {
-		return 500
-	}
-	return o.MaxReplications
-}
+// maxReplications bounds the duplications one invocation applies.
+const maxReplications = 500
 
 // jumpKey identifies one unconditional jump for the per-invocation
 // blacklist of failed replications.
@@ -165,12 +170,16 @@ func countJumps(f *cfg.Func) int {
 // exhausted, or progress stalls. The Result reports whether anything
 // changed along with per-function replication counters. Unreachable blocks
 // may remain; callers run dead code elimination afterwards, per Figure 3.
-func JUMPS(f *cfg.Func, opts Options) Result {
+func JUMPS(f *cfg.Func, opts Options) Result { return jumps(f, opts, oracleFinder) }
+
+// jumps is JUMPS with step 1's path finder supplied by the caller: the
+// seam through which the tests run the Floyd–Warshall reference.
+func jumps(f *cfg.Func, opts Options, finder func(*graphSnapshot) pathFinder) Result {
 	var res Result
 	blacklist := map[jumpKey]bool{}
 	g := newBudget(f, opts, ProfitJumps)
 	for !g.exhausted(f) {
-		made := sweep(f, opts, blacklist, g, &res)
+		made := sweep(f, opts, finder, blacklist, g, &res)
 		if made == 0 {
 			break
 		}
@@ -183,9 +192,9 @@ func JUMPS(f *cfg.Func, opts Options) Result {
 // blocks replacing jumps (steps 2–6), reusing the engine for every lookup
 // exactly as the paper describes for its matrix. Returns the number of
 // replications made.
-func sweep(f *cfg.Func, opts Options, blacklist map[jumpKey]bool, g *budget, res *Result) int {
+func sweep(f *cfg.Func, opts Options, finder func(*graphSnapshot) pathFinder, blacklist map[jumpKey]bool, g *budget, res *Result) int {
 	e := cfg.ComputeEdges(f)
-	m := newPathFinder(f, e, opts.Engine)
+	m := finder(snapshotGraph(f, e))
 	// Label-space view of the engine: rows were assigned in block order at
 	// snapshot time.
 	rowOf := make(map[rtl.Label]int, len(f.Blocks))

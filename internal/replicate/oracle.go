@@ -1,8 +1,8 @@
 package replicate
 
-// pathOracle is the EngineOracle implementation of step 1: instead of the
-// paper's eager all-pairs matrix it answers shortest-path queries on
-// demand, running a single-source Dijkstra (with RTL-count node weights)
+// pathOracle implements step 1: instead of the paper's eager all-pairs
+// matrix it answers shortest-path queries on demand, running a
+// single-source Dijkstra (with RTL-count node weights)
 // from each queried source the first time that source is seen and
 // memoizing the distance row for the lifetime of the sweep.
 //

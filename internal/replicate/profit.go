@@ -16,8 +16,9 @@ type Profit interface {
 }
 
 // ProfitJumps is the paper's objective: the static count of direct
-// unconditional jumps. JUMPS replication uses it — a replication only
-// counts as progress while the function's jump count keeps falling.
+// unconditional jumps. JUMPS replication and the pipeline's Figure-3 loop
+// use it — a replication only counts as progress while the function's
+// jump count keeps falling.
 var ProfitJumps Profit = profitJumps{}
 
 type profitJumps struct{}

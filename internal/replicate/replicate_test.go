@@ -60,20 +60,20 @@ func TestPathMatrixShortest(t *testing.T) {
 	b2.Insts = []rtl.Inst{{Kind: rtl.Move, Dst: rtl.R(v(1)), Src: rtl.Imm(3)}}
 	b3.Insts = []rtl.Inst{{Kind: rtl.Ret, Src: rtl.None()}}
 	e := cfg.ComputeEdges(f)
-	for _, engine := range []PathEngine{EngineMatrix, EngineOracle} {
-		m := newPathFinder(f, e, engine)
+	for _, fd := range finders {
+		m, name := fd.fn(snapshotGraph(f, e)), fd.name
 		// Shortest b0..b3 goes through b2: 2 + 1 + 1 RTLs.
 		if d := m.dist(0, 3); d != 4 {
-			t.Errorf("%v: dist(0, 3) = %d, want 4", engine, d)
+			t.Errorf("%s: dist(0, 3) = %d, want 4", name, d)
 		}
 		p := m.path(0, 3)
 		if len(p) != 3 || p[1] != 2 {
-			t.Errorf("%v: path = %v, want [0 2 3]", engine, p)
+			t.Errorf("%s: path = %v, want [0 2 3]", name, p)
 		}
 		// Self distance is not defined (non-reflexive; the graph is acyclic
 		// so no cycle through b0 exists either).
 		if m.dist(0, 0) != inf {
-			t.Errorf("%v: self-reflexive transition recorded", engine)
+			t.Errorf("%s: self-reflexive transition recorded", name)
 		}
 	}
 }
@@ -87,10 +87,10 @@ func TestPathMatrixExcludesIndirect(t *testing.T) {
 	b1.Insts = []rtl.Inst{{Kind: rtl.Ret, Src: rtl.None()}}
 	b2.Insts = []rtl.Inst{{Kind: rtl.Ret, Src: rtl.None()}}
 	e := cfg.ComputeEdges(f)
-	for _, engine := range []PathEngine{EngineMatrix, EngineOracle} {
-		m := newPathFinder(f, e, engine)
+	for _, fd := range finders {
+		m, name := fd.fn(snapshotGraph(f, e)), fd.name
 		if m.dist(0, 1) != inf || m.dist(0, 2) != inf {
-			t.Errorf("%v: paths must not traverse indirect jumps", engine)
+			t.Errorf("%s: paths must not traverse indirect jumps", name)
 		}
 	}
 }

@@ -230,7 +230,7 @@ func TestTraceRetention(t *testing.T) {
 	ids := make([]string, 0, 3)
 	for i := 0; i < 3; i++ {
 		res, err := s.Compile(context.Background(), CompileRequest{
-			Source: tinySrc, Level: []string{"simple", "loops", "jumps"}[i],
+			Source: tinySrc, Spec: Spec{Level: []string{"simple", "loops", "jumps"}[i]},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -259,7 +259,7 @@ func TestMetricsLintAndLabeledSeries(t *testing.T) {
 	_, srv := newTestService(t)
 	postJSON(t, srv.URL+"/compile", CompileRequest{Source: tinySrc})
 	postJSON(t, srv.URL+"/compile", CompileRequest{Source: tinySrc}) // cache hit
-	postJSON(t, srv.URL+"/measure", MeasureRequest{Program: "queens", Machine: "sparc"})
+	postJSON(t, srv.URL+"/measure", MeasureRequest{Program: "queens", Spec: Spec{Machine: "sparc"}})
 	resp, data := postJSON(t, srv.URL+"/grid", GridRequest{Programs: []string{"queens"}})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("grid: %d", resp.StatusCode)

@@ -65,7 +65,7 @@ func getBody(t *testing.T, url string) (*http.Response, []byte) {
 
 func TestCompileEndpoint(t *testing.T) {
 	_, srv := newTestService(t)
-	resp, data := postJSON(t, srv.URL+"/compile", CompileRequest{Source: tinySrc, Machine: "sparc"})
+	resp, data := postJSON(t, srv.URL+"/compile", CompileRequest{Source: tinySrc, Spec: Spec{Machine: "sparc"}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, data)
 	}
@@ -86,7 +86,7 @@ func TestCompileEndpoint(t *testing.T) {
 
 func TestCompileCacheHitVisibleInMetrics(t *testing.T) {
 	_, srv := newTestService(t)
-	req := CompileRequest{Source: tinySrc, Level: "loops"}
+	req := CompileRequest{Source: tinySrc, Spec: Spec{Level: "loops"}}
 	if resp, data := postJSON(t, srv.URL+"/compile", req); resp.StatusCode != 200 {
 		t.Fatalf("first: %d %s", resp.StatusCode, data)
 	}
@@ -110,10 +110,10 @@ func TestCompileCacheHitVisibleInMetrics(t *testing.T) {
 
 func TestCompileDifferentOptionsMiss(t *testing.T) {
 	s, srv := newTestService(t)
-	postJSON(t, srv.URL+"/compile", CompileRequest{Source: tinySrc, Level: "simple"})
-	postJSON(t, srv.URL+"/compile", CompileRequest{Source: tinySrc, Level: "jumps"})
-	postJSON(t, srv.URL+"/compile", CompileRequest{Source: tinySrc, Level: "jumps",
-		Replication: ReplicationOptions{MaxSeqRTLs: 4}})
+	postJSON(t, srv.URL+"/compile", CompileRequest{Source: tinySrc, Spec: Spec{Level: "simple"}})
+	postJSON(t, srv.URL+"/compile", CompileRequest{Source: tinySrc, Spec: Spec{Level: "jumps"}})
+	postJSON(t, srv.URL+"/compile", CompileRequest{Source: tinySrc, Spec: Spec{Level: "jumps",
+		Replication: ReplicationOptions{MaxSeqRTLs: 4}}})
 	if hits := s.cache.Hits(); hits != 0 {
 		t.Fatalf("distinct requests hit the cache %d times", hits)
 	}
@@ -134,6 +134,8 @@ func TestCompileErrors(t *testing.T) {
 		{"bad machine", `{"source":"int main() { return 0; }","machine":"vax"}`, http.StatusUnprocessableEntity},
 		{"bad level", `{"source":"int main() { return 0; }","level":"turbo"}`, http.StatusUnprocessableEntity},
 		{"unknown field", `{"source":"int main() { return 0; }","sauce":1}`, http.StatusBadRequest},
+		{"removed engine field", `{"source":"int main() { return 0; }","replication":{"engine":"matrix"}}`, http.StatusBadRequest},
+		{"bad heuristic", `{"source":"int main() { return 0; }","replication":{"heuristic":"frequency"}}`, http.StatusUnprocessableEntity},
 		{"bad json", `{`, http.StatusBadRequest},
 	} {
 		resp, err := http.Post(srv.URL+"/compile", "application/json", strings.NewReader(tc.body))
@@ -160,7 +162,7 @@ func TestCompileErrors(t *testing.T) {
 func TestMeasureEndpoint(t *testing.T) {
 	_, srv := newTestService(t)
 	resp, data := postJSON(t, srv.URL+"/measure", MeasureRequest{
-		Program: "queens", Machine: "sparc", IncludeOutput: true,
+		Program: "queens", Spec: Spec{Machine: "sparc"}, IncludeOutput: true,
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, data)
@@ -174,7 +176,7 @@ func TestMeasureEndpoint(t *testing.T) {
 	}
 	// Same request again: cache hit.
 	_, data = postJSON(t, srv.URL+"/measure", MeasureRequest{
-		Program: "queens", Machine: "sparc", IncludeOutput: true,
+		Program: "queens", Spec: Spec{Machine: "sparc"}, IncludeOutput: true,
 	})
 	json.Unmarshal(data, &res)
 	if !res.Cached {
@@ -355,9 +357,11 @@ func TestConcurrentCompileStress(t *testing.T) {
 		go func(g int) {
 			for i := 0; i < 6; i++ {
 				req := CompileRequest{
-					Source:  sources[(g+i)%len(sources)],
-					Machine: machines[(g+i)%len(machines)],
-					Level:   levels[(g*7+i)%len(levels)],
+					Source: sources[(g+i)%len(sources)],
+					Spec: Spec{
+						Machine: machines[(g+i)%len(machines)],
+						Level:   levels[(g*7+i)%len(levels)],
+					},
 				}
 				b, _ := json.Marshal(req)
 				resp, err := http.Post(srv.URL+"/compile", "application/json", bytes.NewReader(b))

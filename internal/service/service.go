@@ -333,31 +333,6 @@ func (s *Service) checkOpen() error {
 	return nil
 }
 
-// resolveMachine maps a wire name to a machine model via the registry
-// ("" = the paper's 68020 default).
-func resolveMachine(name string) (*machine.Machine, error) {
-	if name == "" {
-		return machine.M68020, nil
-	}
-	m, err := machine.ByName(name)
-	if err != nil {
-		return nil, badRequestf("%v", err)
-	}
-	return m, nil
-}
-
-// resolveLevel maps a wire name to a pipeline level ("" = jumps).
-func resolveLevel(name string) (pipeline.Level, error) {
-	if name == "" {
-		return pipeline.Jumps, nil
-	}
-	lv, err := pipeline.ParseLevel(name)
-	if err != nil {
-		return 0, badRequestf("%v", err)
-	}
-	return lv, nil
-}
-
 // ReplicationOptions is the wire form of replicate.Options.
 type ReplicationOptions struct {
 	// Heuristic picks the candidate order: "", "shortest", "returns" or
@@ -367,50 +342,16 @@ type ReplicationOptions struct {
 	MaxSeqRTLs int `json:"maxseq,omitempty"`
 	// AllowIndirect enables the §6 indirect-jump extension.
 	AllowIndirect bool `json:"indirect,omitempty"`
-	// Engine picks the step-1 shortest-path engine: "" or "oracle"
-	// (default), or "matrix" for the Floyd–Warshall reference.
-	Engine string `json:"engine,omitempty"`
 }
 
-func (o ReplicationOptions) resolve() (replicate.Options, error) {
-	opts := replicate.Options{MaxSeqRTLs: o.MaxSeqRTLs, AllowIndirect: o.AllowIndirect}
-	switch o.Heuristic {
-	case "", "shortest":
-		opts.Heuristic = replicate.HeurShortest
-	case "returns":
-		opts.Heuristic = replicate.HeurReturns
-	case "loops":
-		opts.Heuristic = replicate.HeurLoops
-	default:
-		return opts, badRequestf("unknown heuristic %q (want shortest, returns or loops)", o.Heuristic)
-	}
-	engine, err := replicate.ParseEngine(o.Engine)
-	if err != nil {
-		return opts, badRequestf("%v", err)
-	}
-	opts.Engine = engine
-	return opts, nil
-}
-
-// hashOptions folds the replication options into a cache key. Engine is
-// included even though both engines produce identical code: keeping it in
-// the key means a request pinning the reference engine is never answered
-// with a result computed by the other one.
-func (b *keyBuilder) options(o ReplicationOptions) {
-	b.str(o.Heuristic)
-	b.int(int64(o.MaxSeqRTLs))
-	b.bool(o.AllowIndirect)
-	b.str(o.Engine)
-}
-
-// CompileRequest is the body of POST /compile.
-type CompileRequest struct {
-	// Source is the mini-C translation unit.
-	Source string `json:"source"`
+// Spec is the compile configuration that POST /compile and POST /measure
+// both carry; its fields sit at the top level of either body.
+type Spec struct {
 	// Machine is any registered machine name or alias — "68020" (default),
 	// "sparc", "x86", ... (see machine.Names).
 	Machine string `json:"machine,omitempty"`
-	// Level is "simple", "loops", "jumps" (default) or "dups".
+	// Level is "simple", "loops", "jumps" (default) or "dups", in any
+	// case.
 	Level       string             `json:"level,omitempty"`
 	Replication ReplicationOptions `json:"replication,omitempty"`
 	// VerifyEach runs the semantic IR verifier after every pipeline pass;
@@ -423,6 +364,54 @@ type CompileRequest struct {
 	// Static.Verify with rule "translation-validation" and are counted in
 	// the mccd_tv_rejections_total metric.
 	TV bool `json:"tv,omitempty"`
+}
+
+// resolve maps the wire spelling to the configuration that reaches the
+// optimizer. The cache keys are built from its result, so every spelling
+// of one configuration ("" = "jumps" = "JUMPS", "i386" = "x86",
+// heuristic "" = "shortest") shares one entry.
+func (s Spec) resolve() (pipeline.Config, error) {
+	c := pipeline.Config{Machine: machine.M68020, Level: pipeline.Jumps, VerifyEach: s.VerifyEach, TV: s.TV}
+	var err error
+	if s.Machine != "" {
+		if c.Machine, err = machine.ByName(s.Machine); err != nil {
+			return c, badRequestf("%v", err)
+		}
+	}
+	if s.Level != "" {
+		if c.Level, err = pipeline.ParseLevel(s.Level); err != nil {
+			return c, badRequestf("%v", err)
+		}
+	}
+	h, err := replicate.ParseHeuristic(s.Replication.Heuristic)
+	if err != nil {
+		return c, badRequestf("%v", err)
+	}
+	c.Replication = replicate.Options{
+		Heuristic:     h,
+		MaxSeqRTLs:    s.Replication.MaxSeqRTLs,
+		AllowIndirect: s.Replication.AllowIndirect,
+	}
+	return c, nil
+}
+
+// config folds a resolved configuration into a cache key: every value of
+// it a request can set, in canonical form.
+func (b *keyBuilder) config(c pipeline.Config) {
+	b.str(c.Machine.Name)
+	b.str(c.Level.String())
+	b.str(c.Replication.Heuristic.String())
+	b.int(int64(c.Replication.MaxSeqRTLs))
+	b.bool(c.Replication.AllowIndirect)
+	b.bool(c.VerifyEach)
+	b.bool(c.TV)
+}
+
+// CompileRequest is the body of POST /compile.
+type CompileRequest struct {
+	// Source is the mini-C translation unit.
+	Source string `json:"source"`
+	Spec
 }
 
 // CompileResult is the body of a successful POST /compile response.
@@ -446,14 +435,10 @@ type CompileResult struct {
 	JobID string `json:"job_id,omitempty"`
 }
 
-func compileKey(req CompileRequest) Key {
+func compileKey(source string, c pipeline.Config) Key {
 	b := newKeyBuilder("compile")
-	b.str(req.Source)
-	b.str(req.Machine)
-	b.str(req.Level)
-	b.options(req.Replication)
-	b.bool(req.VerifyEach)
-	b.bool(req.TV)
+	b.str(source)
+	b.config(c)
 	return b.sum()
 }
 
@@ -466,23 +451,12 @@ func (s *Service) Compile(ctx context.Context, req CompileRequest) (*CompileResu
 	if req.Source == "" {
 		return nil, badRequestf("missing source")
 	}
-	m, err := resolveMachine(req.Machine)
-	if err != nil {
-		return nil, err
-	}
-	lv, err := resolveLevel(req.Level)
-	if err != nil {
-		return nil, err
-	}
-	repOpts, err := req.Replication.resolve()
+	c, err := req.resolve()
 	if err != nil {
 		return nil, err
 	}
 	s.met.reqCompile.Inc()
-	// Canonicalize the machine name before the cache key is computed:
-	// aliases ("68k", "i386") and the "" default must hit the same entry
-	// as the canonical spelling.
-	req.Machine = m.Name
+	m := c.Machine
 
 	job := newJob("compile", 1)
 	tr, err := s.beginJob(job)
@@ -490,9 +464,10 @@ func (s *Service) Compile(ctx context.Context, req CompileRequest) (*CompileResu
 		return nil, err
 	}
 	job.start()
-	meta := jobMeta{kind: "compile", level: lv.String(), machine: m.Name, tracer: tr}
+	meta := jobMeta{kind: "compile", level: c.Level.String(), machine: m.Name, tracer: tr}
+	c.Tracer = tr
 
-	key := compileKey(req)
+	key := compileKey(req.Source, c)
 	if v, ok := s.lookupCache(key, meta); ok {
 		out := *v.(*CompileResult)
 		out.Cached = true
@@ -513,10 +488,7 @@ func (s *Service) Compile(ctx context.Context, req CompileRequest) (*CompileResu
 			inputRTLs += f.NumRTLs()
 		}
 		optStart := time.Now() // det:allow nodeterminism — latency/queue telemetry
-		st := pipeline.Optimize(prog, pipeline.Config{
-			Machine: m, Level: lv, Replication: repOpts,
-			Tracer: tr, VerifyEach: req.VerifyEach, TV: req.TV,
-		})
+		st := pipeline.Optimize(prog, c)
 		s.met.observeThroughput(inputRTLs, time.Since(optStart)) // det:allow nodeterminism — latency/queue telemetry
 		s.met.observeVerify(st.Verify)
 		var buf bytes.Buffer
@@ -524,7 +496,7 @@ func (s *Service) Compile(ctx context.Context, req CompileRequest) (*CompileResu
 			return nil, err
 		}
 		return &CompileResult{
-			Machine: m.Name, Level: lv.String(),
+			Machine: m.Name, Level: c.Level.String(),
 			Assembly: buf.String(), Static: st,
 			CodeBytes: vm.NewLayout(prog, m).CodeBytes,
 			ElapsedNS: int64(time.Since(start)), // det:allow nodeterminism — latency/queue telemetry
@@ -575,23 +547,11 @@ type MeasureRequest struct {
 	Source string `json:"source,omitempty"`
 	// Input overrides the program's standard input.
 	Input *string `json:"input,omitempty"`
-	// Machine is any registered machine name or alias — "68020" (default),
-	// "sparc", "x86", ... (see machine.Names).
-	Machine string `json:"machine,omitempty"`
-	// Level is "simple", "loops", "jumps" (default) or "dups".
-	Level       string             `json:"level,omitempty"`
-	Replication ReplicationOptions `json:"replication,omitempty"`
+	Spec
 	// Caches enables the Table-6 cache bank.
 	Caches bool `json:"caches,omitempty"`
 	// IncludeOutput echoes the program's output in the response.
 	IncludeOutput bool `json:"output,omitempty"`
-	// VerifyEach runs the semantic IR verifier after every pipeline pass;
-	// any violations (attributed to the offending pass) come back as
-	// structured diagnostics in Static.Verify.
-	VerifyEach bool `json:"verify_each,omitempty"`
-	// TV runs the translation validator over the duplication engine (see
-	// CompileRequest.TV).
-	TV bool `json:"tv,omitempty"`
 }
 
 // MeasureResult is the body of a successful POST /measure response.
@@ -620,17 +580,13 @@ type MeasureResult struct {
 	JobID string `json:"job_id,omitempty"`
 }
 
-func measureKey(req MeasureRequest, source, input string) Key {
+func measureKey(req MeasureRequest, source, input string, c pipeline.Config) Key {
 	b := newKeyBuilder("measure")
 	b.str(source)
 	b.str(input)
-	b.str(req.Machine)
-	b.str(req.Level)
-	b.options(req.Replication)
+	b.config(c)
 	b.bool(req.Caches)
 	b.bool(req.IncludeOutput)
-	b.bool(req.VerifyEach)
-	b.bool(req.TV)
 	return b.sum()
 }
 
@@ -658,22 +614,12 @@ func (s *Service) Measure(ctx context.Context, req MeasureRequest) (*MeasureResu
 	if req.Input != nil {
 		input = *req.Input
 	}
-	m, err := resolveMachine(req.Machine)
-	if err != nil {
-		return nil, err
-	}
-	lv, err := resolveLevel(req.Level)
-	if err != nil {
-		return nil, err
-	}
-	repOpts, err := req.Replication.resolve()
+	c, err := req.resolve()
 	if err != nil {
 		return nil, err
 	}
 	s.met.reqMeasure.Inc()
-	// Same alias canonicalization as Compile, for the same cache-key
-	// reason.
-	req.Machine = m.Name
+	m, lv := c.Machine, c.Level
 
 	job := newJob("measure", 1)
 	tr, err := s.beginJob(job)
@@ -683,7 +629,7 @@ func (s *Service) Measure(ctx context.Context, req MeasureRequest) (*MeasureResu
 	job.start()
 	meta := jobMeta{kind: "measure", level: lv.String(), machine: m.Name, tracer: tr}
 
-	key := measureKey(req, source, input)
+	key := measureKey(req, source, input, c)
 	if v, ok := s.lookupCache(key, meta); ok {
 		out := *v.(*MeasureResult)
 		out.Cached = true
@@ -696,11 +642,11 @@ func (s *Service) Measure(ctx context.Context, req MeasureRequest) (*MeasureResu
 	v, err := s.runSync(ctx, meta, func(context.Context) (any, error) {
 		run, err := ease.Measure(ease.Request{
 			Name: name, Source: source, Input: []byte(input),
-			Machine: m, Level: lv, Replication: repOpts,
+			Machine: m, Level: lv, Replication: c.Replication,
 			SimulateCaches: req.Caches,
 			Tracer:         tr,
-			VerifyEach:     req.VerifyEach,
-			TV:             req.TV,
+			VerifyEach:     c.VerifyEach,
+			TV:             c.TV,
 		})
 		if err != nil {
 			return nil, badRequestf("%v", err)
@@ -841,7 +787,7 @@ func (s *Service) SubmitGrid(req GridRequest) (JobView, error) {
 	if err := s.checkOpen(); err != nil {
 		return JobView{}, err
 	}
-	repOpts, err := req.Replication.resolve()
+	c, err := Spec{Replication: req.Replication}.resolve()
 	if err != nil {
 		return JobView{}, err
 	}
@@ -880,7 +826,7 @@ func (s *Service) SubmitGrid(req GridRequest) (JobView, error) {
 			Programs:    progs,
 			Caches:      req.Caches,
 			CacheSizes:  req.CacheSizes,
-			Replication: repOpts,
+			Replication: c.Replication,
 			VerifyEach:  req.VerifyEach,
 			TV:          req.TV,
 			Pool:        s.pool,

@@ -21,7 +21,7 @@ func TestDeterministicAcrossConcurrency(t *testing.T) {
 	narrow := New(Config{Workers: 1})
 	defer wide.Close(context.Background())
 	defer narrow.Close(context.Background())
-	req := CompileRequest{Source: tinySrc, Machine: "sparc", Level: "jumps"}
+	req := CompileRequest{Source: tinySrc, Spec: Spec{Machine: "sparc", Level: "jumps"}}
 	a, err := wide.Compile(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -80,40 +80,56 @@ func TestClosedServiceRejects(t *testing.T) {
 	}
 }
 
-// TestEngineOptionWire covers the replication engine on the wire: both
-// engines compile to identical code, the engine participates in the cache
-// key (a matrix request never reuses an oracle result), unknown names are
-// client errors, and real compiles feed the throughput metrics.
-func TestEngineOptionWire(t *testing.T) {
+// TestCacheKeyCanonical: the cache keys are built from the resolved
+// configuration, so every spelling of one compile is compiled once and its
+// repeats come back Cached with the same result, and only real compiles
+// feed the throughput metrics.
+func TestCacheKeyCanonical(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close(context.Background())
-	base := CompileRequest{Source: tinySrc, Level: "jumps"}
-	oracle, err := s.Compile(context.Background(), base)
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	groups := [][]Spec{
+		// The default level and heuristic, spelled four more ways.
+		{{}, {Level: "jumps"}, {Level: "JUMPS"}, {Level: "Jumps"},
+			{Level: "jumps", Replication: ReplicationOptions{Heuristic: "shortest"}}},
+		// A machine alias.
+		{{Machine: "i386"}, {Machine: "x86"}},
+		// Another level is another compile.
+		{{Level: "loops"}, {Level: "LOOPS"}},
 	}
-	matrixReq := base
-	matrixReq.Replication.Engine = "matrix"
-	matrix, err := s.Compile(context.Background(), matrixReq)
-	if err != nil {
-		t.Fatal(err)
+	for gi, g := range groups {
+		var first *CompileResult
+		for si, spec := range g {
+			res, err := s.Compile(ctx, CompileRequest{Source: tinySrc, Spec: spec})
+			if err != nil {
+				t.Fatalf("group %d, %+v: %v", gi, spec, err)
+			}
+			if res.Cached != (si > 0) {
+				t.Errorf("group %d, %+v: cached = %v, want %v", gi, spec, res.Cached, si > 0)
+			}
+			if first == nil {
+				first = res
+			} else if res.Machine != first.Machine || res.Level != first.Level || res.Assembly != first.Assembly {
+				t.Errorf("group %d, %+v: result differs from %+v's", gi, spec, g[0])
+			}
+		}
 	}
-	if matrix.Cached {
-		t.Fatal("matrix request served from the oracle request's cache entry")
-	}
-	if matrix.Assembly != oracle.Assembly || !reflect.DeepEqual(matrix.Static, oracle.Static) {
-		t.Fatal("engines disagree on compiled output")
-	}
-	bad := base
-	bad.Replication.Engine = "bogus"
-	if _, err := s.Compile(context.Background(), bad); !IsBadRequest(err) {
-		t.Fatalf("unknown engine = %v, want bad request", err)
+	mq := MeasureRequest{Program: "queens"}
+	for i, spec := range []Spec{{}, {Machine: "68k", Level: "JUMPS"}} {
+		mq.Spec = spec
+		res, err := s.Measure(ctx, mq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cached != (i > 0) {
+			t.Errorf("measure %+v: cached = %v, want %v", spec, res.Cached, i > 0)
+		}
 	}
 	if n := s.met.compileRTLs.Value(); n <= 0 {
-		t.Fatalf("mccd_compile_rtls_total = %d after two compiles, want > 0", n)
+		t.Fatalf("mccd_compile_rtls_total = %d after real compiles, want > 0", n)
 	}
-	if n := s.met.throughput.Count(); n != 2 {
-		t.Fatalf("mccd_compile_rtls_per_second count = %d, want 2", n)
+	if n, want := s.met.throughput.Count(), int64(len(groups)+1); n != want {
+		t.Fatalf("mccd_compile_rtls_per_second count = %d, want %d (one per distinct compile)", n, want)
 	}
 }
 
@@ -125,7 +141,7 @@ func TestVerifyEachWire(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close(context.Background())
 
-	base := CompileRequest{Source: tinySrc, Level: "jumps"}
+	base := CompileRequest{Source: tinySrc, Spec: Spec{Level: "jumps"}}
 	plain, err := s.Compile(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
