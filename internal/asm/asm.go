@@ -12,7 +12,6 @@ package asm
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/cfg"
 	"repro/internal/encode"
@@ -99,15 +98,6 @@ func EmitListing(w io.Writer, p *cfg.Program, m *machine.Machine) error {
 	}
 	fmt.Fprintf(w, "\n; %s: %d code bytes\n", m.Name, ep.CodeBytes)
 	return nil
-}
-
-// EmitListingString is EmitListing into a string, for tests and tools.
-func EmitListingString(p *cfg.Program, m *machine.Machine) (string, error) {
-	var b strings.Builder
-	if err := EmitListing(&b, p, m); err != nil {
-		return "", err
-	}
-	return b.String(), nil
 }
 
 // localLabel namespaces block labels per function.
@@ -399,13 +389,4 @@ func (sparcEmitter) inst(f *cfg.Func, in *rtl.Inst) (string, error) {
 		return "nop", nil
 	}
 	return "", fmt.Errorf("unknown instruction kind %v", in.Kind)
-}
-
-// EmitString is Emit into a string, for tests and tools.
-func EmitString(p *cfg.Program, m *machine.Machine) (string, error) {
-	var b strings.Builder
-	if err := Emit(&b, p, m); err != nil {
-		return "", err
-	}
-	return b.String(), nil
 }

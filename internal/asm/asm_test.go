@@ -1,11 +1,13 @@
 package asm_test
 
 import (
+	"io"
 	"strings"
 	"testing"
 
 	"repro/internal/asm"
 	"repro/internal/bench"
+	"repro/internal/cfg"
 	"repro/internal/machine"
 	"repro/internal/mcc"
 	"repro/internal/pipeline"
@@ -32,11 +34,21 @@ func compileFor(t *testing.T, m *machine.Machine) string {
 		t.Fatal(err)
 	}
 	pipeline.Optimize(prog, pipeline.Config{Machine: m, Level: pipeline.Jumps})
-	out, err := asm.EmitString(prog, m)
-	if err != nil {
+	var b strings.Builder
+	if err := asm.Emit(&b, prog, m); err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return b.String()
+}
+
+// listing renders prog's encoded listing for m.
+func listing(t *testing.T, prog *cfg.Program, m *machine.Machine) string {
+	t.Helper()
+	var b strings.Builder
+	if err := asm.EmitListing(&b, prog, m); err != nil {
+		t.Fatalf("%s: %v", m.Name, err)
+	}
+	return b.String()
 }
 
 func TestEmit68020(t *testing.T) {
@@ -96,10 +108,7 @@ func TestEmitListingX86(t *testing.T) {
 		t.Fatal(err)
 	}
 	pipeline.Optimize(prog, pipeline.Config{Machine: machine.X86, Level: pipeline.Jumps})
-	out, err := asm.EmitListingString(prog, machine.X86)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := listing(t, prog, machine.X86)
 	if !strings.Contains(out, "; short") && !strings.Contains(out, "; near") {
 		t.Errorf("x86 listing has no fixpoint form annotations:\n%s", out)
 	}
@@ -113,11 +122,7 @@ func TestEmitListingX86(t *testing.T) {
 		t.Fatal(err)
 	}
 	pipeline.Optimize(prog2, pipeline.Config{Machine: machine.X86, Level: pipeline.Jumps})
-	out2, err := asm.EmitListingString(prog2, machine.X86)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != out2 {
+	if out2 := listing(t, prog2, machine.X86); out != out2 {
 		t.Error("x86 encoded listing is not deterministic across compiles")
 	}
 }
@@ -131,10 +136,7 @@ func TestEmitListingAllMachines(t *testing.T) {
 			t.Fatal(err)
 		}
 		pipeline.Optimize(prog, pipeline.Config{Machine: m, Level: pipeline.Jumps})
-		out, err := asm.EmitListingString(prog, m)
-		if err != nil {
-			t.Fatalf("%s: %v", m.Name, err)
-		}
+		out := listing(t, prog, m)
 		if !strings.Contains(out, "code bytes") {
 			t.Errorf("%s listing misses the code-bytes trailer", m.Name)
 		}
@@ -163,7 +165,7 @@ func TestEmitEveryTable3Program(t *testing.T) {
 					t.Fatal(err)
 				}
 				pipeline.Optimize(prog, pipeline.Config{Machine: m, Level: lv})
-				if _, err := asm.EmitString(prog, m); err != nil {
+				if err := asm.Emit(io.Discard, prog, m); err != nil {
 					t.Errorf("%s/%s/%s: %v", name, m.Name, lv, err)
 				}
 			}

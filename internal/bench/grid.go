@@ -87,10 +87,10 @@ type cellSpec struct {
 }
 
 // RunGrid measures every (program × machine × level) cell of the
-// configured grid. Results are identical to the sequential RunAllSizes
-// byte for byte: cells are preassigned slice positions in canonical
-// order, so concurrency changes only the wall-clock time and the order
-// of progress lines.
+// configured grid. Results are identical with and without a Pool, byte
+// for byte: cells are preassigned slice positions in canonical order, so
+// concurrency changes only the wall-clock time and the order of progress
+// lines.
 func RunGrid(ctx context.Context, cfg GridConfig) (*Results, error) {
 	progs := cfg.Programs
 	if progs == nil {

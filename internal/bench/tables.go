@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
@@ -10,11 +9,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/ease"
 	"repro/internal/machine"
 	"repro/internal/pipeline"
-	"repro/internal/replicate"
 )
 
 // Cell is one measured (program, machine, level) combination.
@@ -84,25 +81,6 @@ func optLevels() []pipeline.Level { return levels[1:] }
 // match the paper's Table 5 and appends the machines the paper did not
 // measure (the x86) after the original pair.
 var machines = machine.All()
-
-// RunAll measures every (program × machine × level) cell. With caches true
-// the Table-6 cache bank is simulated as well (roughly 8× slower).
-// progress, when non-nil, receives one line per completed cell.
-func RunAll(caches bool, repOpts replicate.Options, progress io.Writer) (*Results, error) {
-	return RunAllSizes(caches, nil, repOpts, progress)
-}
-
-// RunAllSizes is RunAll with custom cache sizes (nil = the paper's). Both
-// are thin sequential wrappers over RunGrid, the execution path shared
-// with cmd/mccd's worker pool.
-func RunAllSizes(caches bool, cacheSizes []int64, repOpts replicate.Options, progress io.Writer) (*Results, error) {
-	return RunGrid(context.Background(), GridConfig{
-		Caches:      caches,
-		CacheSizes:  cacheSizes,
-		Replication: repOpts,
-		Progress:    progress,
-	})
-}
 
 // meanStd returns the mean and (population) standard deviation.
 func meanStd(xs []float64) (mean, std float64) {
@@ -351,7 +329,6 @@ func (r *Results) Table6(w io.Writer) {
 			fmt.Fprintln(w)
 		}
 	}
-	_ = cache.Stats{} // keep the dependency explicit for documentation
 }
 
 // BranchDistance renders the §5.2 statistics: average dynamic instructions

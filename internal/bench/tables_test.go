@@ -1,13 +1,13 @@
 package bench_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/machine"
 	"repro/internal/pipeline"
-	"repro/internal/replicate"
 )
 
 // TestTable3Listing checks the test-set listing covers all 14 programs.
@@ -48,15 +48,15 @@ func TestProgramsWellFormed(t *testing.T) {
 	}
 }
 
-// TestTablesRenderEndToEnd runs the full grid on a single program subset
-// by reusing RunAllSizes with tiny caches, then checks the renderers
-// produce the expected row skeletons. This is the cmd/tables path without
-// the full 84-cell cost.
+// TestTablesRenderEndToEnd runs the full grid through RunGrid with one
+// tiny cache size instead of the paper's four, then checks the renderers
+// produce the expected row skeletons: the cmd/tables path at a fraction
+// of the cache-bank cost.
 func TestTablesRenderEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full grid measurement")
 	}
-	res, err := bench.RunAllSizes(true, []int64{256}, replicate.Options{}, nil)
+	res, err := bench.RunGrid(context.Background(), bench.GridConfig{Caches: true, CacheSizes: []int64{256}})
 	if err != nil {
 		t.Fatal(err)
 	}

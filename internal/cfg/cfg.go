@@ -165,7 +165,7 @@ func (f *Func) RemoveBlocks(dead map[rtl.Label]bool) {
 	f.Renumber()
 }
 
-// Clone returns a deep copy of the function (used for replication rollback).
+// Clone returns a deep copy of the function (see Program.Clone).
 func (f *Func) Clone() *Func {
 	nf := &Func{
 		Name:         f.Name,
@@ -181,15 +181,6 @@ func (f *Func) Clone() *Func {
 	}
 	nf.Renumber()
 	return nf
-}
-
-// Restore replaces f's contents with those of snapshot (a Clone taken
-// earlier), keeping f's scratch arena so analysis buffers survive the
-// rollback.
-func (f *Func) Restore(snapshot *Func) {
-	scr := f.scratch
-	*f = *snapshot
-	f.scratch = scr
 }
 
 // String renders the function as labeled RTL listing.

@@ -87,7 +87,6 @@ func TestMinimizeOracleFailure(t *testing.T) {
 		Replication: replicate.Options{ForceKeepIrreducible: true},
 		Machines:    []*machine.Machine{machine.M68020},
 		Levels:      []pipeline.Level{pipeline.Jumps},
-		SkipDynamic: true,
 	}
 	fails := func(src string) bool {
 		v := Check(src, broken)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/machine"
 	"repro/internal/mcc"
-	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/replicate"
 	"repro/internal/rtl"
@@ -17,8 +16,8 @@ import (
 
 // Kind is the oracle's violation taxonomy: one typed identifier per way a
 // cell can fail. The constant value is the stable wire name used in
-// verdict JSON, fuzzjump reports and obs finding events — consumers
-// compare against the constants, never against re-spelled strings.
+// verdict JSON and fuzzjump reports — consumers compare against the
+// constants, never against re-spelled strings.
 type Kind string
 
 // Violation kinds reported by the oracle.
@@ -103,16 +102,12 @@ type Options struct {
 	Input []byte
 	// Seed tags reports for generated programs (0 for external inputs).
 	Seed int64
-	// Tracer, when non-nil, receives one obs.EvFinding per violation.
-	Tracer obs.Tracer
 	// CheckResidual enables the residual-replicable-jump check. It is
 	// opt-in: the Figure-3 pipeline's anti-churn cutoffs (§5.2 conservatism)
 	// legitimately leave replicable jumps behind on goto-heavy programs, so
 	// this reports the conservatism gap rather than a soundness bug —
 	// useful in offline campaigns, wrong as a CI failure.
 	CheckResidual bool
-	// SkipDynamic disables the dynamic-jump-count invariant.
-	SkipDynamic bool
 	// VerifyEach runs the semantic verifier after every pipeline pass in
 	// every cell (pipeline.Config.VerifyEach), so a violation is attributed
 	// to the pass that introduced it instead of only being caught by the
@@ -212,7 +207,7 @@ func Check(src string, o Options) *Verdict {
 			prog, err := mcc.Compile(src)
 			if err != nil {
 				// Unreachable: the reference compile succeeded above.
-				v.add(o, m, lv, VStructure, fmt.Sprintf("recompile: %v", err))
+				v.add(m, lv, VStructure, fmt.Sprintf("recompile: %v", err))
 				continue
 			}
 			st := pipeline.Optimize(prog, pipeline.Config{
@@ -241,13 +236,13 @@ func Check(src string, o Options) *Verdict {
 			}
 			if len(vs) > 0 {
 				for _, vio := range vs {
-					v.add(o, m, lv, kindForRule(vio.Rule), vio.String())
+					v.add(m, lv, kindForRule(vio.Rule), vio.String())
 				}
 				continue
 			}
 			if lv == pipeline.Jumps && o.CheckResidual {
 				if det := residualReplicableJump(prog, o.replication()); det != "" {
-					v.add(o, m, lv, VResidual, det)
+					v.add(m, lv, VResidual, det)
 				}
 			}
 
@@ -255,7 +250,7 @@ func Check(src string, o Options) *Verdict {
 			run, err := vm.Run(prog, vm.Config{Input: o.Input, MaxSteps: o.maxSteps()})
 			if err != nil {
 				if !v.Skipped {
-					v.add(o, m, lv, VTrap, fmt.Sprintf("%s: %v", TrapKind(err), err))
+					v.add(m, lv, VTrap, fmt.Sprintf("%s: %v", TrapKind(err), err))
 				}
 				continue
 			}
@@ -278,11 +273,11 @@ func Check(src string, o Options) *Verdict {
 				continue
 			}
 			if string(run.Output) != string(refRun.Output) {
-				v.add(o, m, lv, VOutput,
+				v.add(m, lv, VOutput,
 					fmt.Sprintf("got %q, want %q", clip(run.Output), clip(refRun.Output)))
 			}
 			if run.ExitCode != refRun.ExitCode {
-				v.add(o, m, lv, VExit,
+				v.add(m, lv, VExit,
 					fmt.Sprintf("got %d, want %d", run.ExitCode, refRun.ExitCode))
 			}
 		}
@@ -295,19 +290,17 @@ func Check(src string, o Options) *Verdict {
 	// conditional branches than the JUMPS build (≤, not <: a fold only
 	// fires where the analysis decides an edge, and many programs offer
 	// none).
-	if !o.SkipDynamic {
-		for _, m := range o.machines() {
-			cells := perMachine[m.Name]
-			s, j := cells[pipeline.Simple], cells[pipeline.Jumps]
-			if s.ok && j.ok && j.jumps > s.jumps {
-				v.addNamed(o, m.Name, "JUMPS", VDynamic,
-					fmt.Sprintf("JUMPS executed %d direct unconditional jumps, SIMPLE only %d", j.jumps, s.jumps))
-			}
-			d := cells[pipeline.Dups]
-			if j.ok && d.ok && d.branches > j.branches {
-				v.addNamed(o, m.Name, "DUPS", VDynamicCond,
-					fmt.Sprintf("DUPS executed %d conditional branches, JUMPS only %d", d.branches, j.branches))
-			}
+	for _, m := range o.machines() {
+		cells := perMachine[m.Name]
+		s, j := cells[pipeline.Simple], cells[pipeline.Jumps]
+		if s.ok && j.ok && j.jumps > s.jumps {
+			v.add(m, pipeline.Jumps, VDynamic,
+				fmt.Sprintf("JUMPS executed %d direct unconditional jumps, SIMPLE only %d", j.jumps, s.jumps))
+		}
+		d := cells[pipeline.Dups]
+		if j.ok && d.ok && d.branches > j.branches {
+			v.add(m, pipeline.Dups, VDynamicCond,
+				fmt.Sprintf("DUPS executed %d conditional branches, JUMPS only %d", d.branches, j.branches))
 		}
 	}
 	return v
@@ -328,20 +321,10 @@ func kindForRule(r verify.Rule) Kind {
 	return VSemantic
 }
 
-func (v *Verdict) add(o Options, m *machine.Machine, lv pipeline.Level, kind Kind, detail string) {
-	v.addNamed(o, m.Name, lv.String(), kind, detail)
-}
-
-func (v *Verdict) addNamed(o Options, machineName, levelName string, kind Kind, detail string) {
+func (v *Verdict) add(m *machine.Machine, lv pipeline.Level, kind Kind, detail string) {
 	v.Violations = append(v.Violations, Violation{
-		Machine: machineName, Level: levelName, Kind: kind, Detail: detail,
+		Machine: m.Name, Level: lv.String(), Kind: kind, Detail: detail,
 	})
-	if o.Tracer != nil {
-		o.Tracer.Emit(&obs.Event{
-			Type: obs.EvFinding, Name: detail, Outcome: string(kind),
-			Machine: machineName, Level: levelName, Seed: o.Seed,
-		})
-	}
 }
 
 // residualReplicableJump probes the paper's fixed-point property: after a

@@ -8,7 +8,6 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/machine"
 	"repro/internal/mcc"
-	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/replicate"
 	"repro/internal/rtl"
@@ -76,7 +75,6 @@ func TestOracleSkipsInvalidInput(t *testing.T) {
 // — and quickly, well within a 60-second budget.
 func TestOracleCatchesBrokenRollback(t *testing.T) {
 	broken := replicate.Options{ForceKeepIrreducible: true}
-	col := &obs.Collector{}
 	for seed := int64(1); seed <= 30; seed++ {
 		v := Check(Generate(seed), Options{
 			Seed:        seed,
@@ -85,17 +83,10 @@ func TestOracleCatchesBrokenRollback(t *testing.T) {
 			// the cells keeps the scan fast.
 			Machines: []*machine.Machine{machine.M68020},
 			Levels:   []pipeline.Level{pipeline.Jumps},
-			Tracer:   col,
 		})
 		for _, vi := range v.Violations {
 			if vi.Kind == VIrreducible {
-				// The finding must also have been reported to the tracer.
-				for _, ev := range col.Events() {
-					if ev.Type == obs.EvFinding && ev.Outcome == string(VIrreducible) && ev.Seed == seed {
-						return
-					}
-				}
-				t.Fatal("violation found but no obs.EvFinding emitted")
+				return
 			}
 		}
 	}

@@ -9,10 +9,10 @@ import (
 
 // TestUndoLogRestoresGeneratedPrograms is the undo-log acceptance test at
 // fuzzing scale: over a band of generated programs, force every guarded
-// duplication (JUMPS splices and DUPS folds alike) to roll back and require
-// the function to come back byte-identical — text, fresh-label counter and
-// block count. This is the same fault the `fuzzjump -inject undo` campaign
-// drives through the full oracle.
+// duplication (JUMPS splices, DUPS folds and LOOPS rotations alike) to roll
+// back and require the function to come back byte-identical — text,
+// fresh-label counter and block count. This is the same fault the
+// `fuzzjump -inject undo` campaign drives through the full oracle.
 func TestUndoLogRestoresGeneratedPrograms(t *testing.T) {
 	opts := replicate.Options{ForceRollback: true}
 	for seed := int64(1); seed <= 25; seed++ {
@@ -25,6 +25,7 @@ func TestUndoLogRestoresGeneratedPrograms(t *testing.T) {
 			mark := f.LabelMark()
 			blocks := len(f.Blocks)
 			res := replicate.DUPS(f, opts)
+			res.Merge(replicate.LOOPS(f, opts))
 			if res.Replications != 0 || res.BranchesFolded != 0 {
 				t.Fatalf("seed %d %s: applied work under ForceRollback: %+v", seed, f.Name, res)
 			}

@@ -16,7 +16,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/replicate"
-	"repro/internal/verify"
 	"repro/internal/vm"
 )
 
@@ -38,8 +37,6 @@ type Request struct {
 	// — e.g. to dump a trace for offline cache studies. Composes with
 	// SimulateCaches.
 	OnFetch func(addr, size int64)
-	// MaxSteps optionally bounds execution.
-	MaxSteps int64
 	// Tracer, when non-nil, receives the whole measurement's telemetry:
 	// phase spans (compile, optimize, layout, run), per-pass spans, the
 	// replication decision log, and the VM execution profile (per-block
@@ -48,14 +45,6 @@ type Request struct {
 	// Profile enables per-block execution counting in the VM; implied by
 	// Tracer. The counts are returned in Run.Profile.
 	Profile bool
-	// Validate runs the semantic IR verifier (internal/verify) after the
-	// optimizer and before execution: structure (targets resolve, CTIs
-	// terminate blocks, delay-slot shape), reachability, condition-code
-	// pairing, delay-slot legality, register discipline, use-before-def,
-	// and flow-graph reducibility. A violation aborts the measurement with
-	// an error. The differential oracle sets this; interactive tools
-	// usually do not pay for it.
-	Validate bool
 	// Jobs bounds per-function parallelism inside the optimizer
 	// (pipeline.Config.Jobs): 0 = GOMAXPROCS, 1 = serial. Output is
 	// identical for every value.
@@ -76,7 +65,6 @@ type Request struct {
 
 // Run is the outcome of one measurement.
 type Run struct {
-	Request   Request
 	Static    pipeline.Stats
 	Dynamic   vm.Counts
 	CodeBytes int64
@@ -173,24 +161,11 @@ func MeasureProgram(prog *cfg.Program, req Request) (*Run, error) {
 	})
 	optimizeElapsed := time.Since(start) // det:allow nodeterminism — phase/elapsed telemetry
 	phaseSpan(req.Tracer, "optimize", start)
-	if req.Validate {
-		// One diagnostic format for structural and semantic checks: the
-		// verifier's first rule wraps cfg.ValidateProgram, the rest add the
-		// semantic invariants (see internal/verify).
-		vs := verify.Program(prog, verify.Options{
-			DelaySlots:   req.Machine.DelaySlots,
-			PostRegalloc: true,
-		})
-		if err := verify.Error(vs); err != nil {
-			return nil, fmt.Errorf("ease: %s (%s/%s): post-pipeline verification: %w",
-				req.Name, req.Machine.Name, req.Level, err)
-		}
-	}
 	layoutStart := time.Now() // det:allow nodeterminism — phase/elapsed telemetry
 	layout := vm.NewLayout(prog, req.Machine)
 	phaseSpan(req.Tracer, "layout", layoutStart)
 	cfgr := vm.Config{
-		Input: req.Input, MaxSteps: req.MaxSteps,
+		Input:   req.Input,
 		Profile: req.Profile || req.Tracer != nil,
 	}
 	var bank *cache.Bank
@@ -226,7 +201,6 @@ func MeasureProgram(prog *cfg.Program, req Request) (*Run, error) {
 		return nil, fmt.Errorf("ease: %s (%s/%s): %w", req.Name, req.Machine.Name, req.Level, err)
 	}
 	run := &Run{
-		Request:         req,
 		Static:          st,
 		Dynamic:         res.Counts,
 		CodeBytes:       layout.CodeBytes,

@@ -1,14 +1,11 @@
 package ease_test
 
 import (
-	"strings"
 	"testing"
 
-	"repro/internal/difftest"
 	"repro/internal/ease"
 	"repro/internal/machine"
 	"repro/internal/pipeline"
-	"repro/internal/replicate"
 )
 
 const src = `
@@ -114,29 +111,5 @@ func TestPercentChange(t *testing.T) {
 	}
 	if ease.PercentChange(0, 5) != 0 {
 		t.Error("zero base should yield 0")
-	}
-}
-
-func TestMeasureValidate(t *testing.T) {
-	// A goto-heavy program the replicator actually rewrites.
-	loopy := difftest.GenerateWith(9, difftest.GenOptions{NoInput: true})
-
-	// Validation on clean pipelines is silent.
-	if _, err := ease.Measure(ease.Request{
-		Name: "v", Source: loopy, Machine: machine.M68020, Level: pipeline.Jumps,
-		Validate: true,
-	}); err != nil {
-		t.Fatalf("Validate rejected a clean measurement: %v", err)
-	}
-
-	// With the reducibility rollback broken, Validate must abort the
-	// measurement instead of reporting numbers for a malformed program.
-	_, err := ease.Measure(ease.Request{
-		Name: "v", Source: loopy, Machine: machine.M68020, Level: pipeline.Jumps,
-		Replication: replicate.Options{ForceKeepIrreducible: true},
-		Validate:    true,
-	})
-	if err == nil || !strings.Contains(err.Error(), "irreducible") {
-		t.Fatalf("Validate missed the irreducible graph: %v", err)
 	}
 }

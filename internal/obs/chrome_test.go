@@ -23,7 +23,7 @@ func TestChromeNames(t *testing.T) {
 		{Event{Type: EvHot, Func: "f", Block: "L3", Count: 9}, "f L3 ×9"},
 		{Event{Type: EvVerify, Func: "f", Rule: "cc-pairing", Name: "regalloc"},
 			"f: cc-pairing violated after regalloc"},
-		{Event{Type: EvFinding}, "finding"},
+		{Event{Type: "custom"}, "custom"},
 	} {
 		if got := chromeName(&tc.ev); got != tc.want {
 			t.Errorf("chromeName(%s) = %q, want %q", tc.ev.Type, got, tc.want)

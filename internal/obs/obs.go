@@ -27,12 +27,6 @@ const (
 	// EvHot is one entry of the hot-path summary: a top block by executed
 	// instructions, with its share of the total.
 	EvHot = "hot"
-	// EvFinding is one differential-oracle violation (internal/difftest):
-	// the machine/level cell it occurred in, the violation kind in Outcome,
-	// the generator seed (when the program was generated), and a one-line
-	// detail in Name. cmd/fuzzjump streams these as its JSONL failure
-	// report.
-	EvFinding = "finding"
 	// EvVerify is one semantic-verifier violation found by verify-each mode
 	// (internal/verify via pipeline.Config.VerifyEach): the offending pass
 	// in Name (with Stage/Iter placing it in the Figure-3 pipeline), the
@@ -125,12 +119,10 @@ type Event struct {
 	Candidates []Candidate `json:"candidates,omitempty"`
 	Outcome    string      `json:"outcome,omitempty"`
 
-	// EvFinding: the measurement cell the oracle violation occurred in
-	// (Machine/Level), and the generator seed that produced the program
-	// (0 when the input came from elsewhere, e.g. a fuzzing corpus).
+	// Machine and Level name the grid cell an event belongs to (stamped
+	// by the bench grid runner; empty for single-cell traces).
 	Machine string `json:"machine,omitempty"`
 	Level   string `json:"level,omitempty"`
-	Seed    int64  `json:"seed,omitempty"`
 
 	// EvVerify: the semantic-verifier rule that fired and its one-line
 	// explanation (the pass lives in Name, the location in Func/Block).

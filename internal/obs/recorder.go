@@ -71,9 +71,6 @@ func (r *FlightRecorder) Total() uint64 {
 	return r.next
 }
 
-// Cap is the ring capacity.
-func (r *FlightRecorder) Cap() int { return len(r.buf) }
-
 // Tail returns up to n most recent events in emission order, filtered to
 // one job when job is non-empty (n <= 0 = everything retained).
 func (r *FlightRecorder) Tail(n int, job string) []*RecordedEvent {

@@ -140,16 +140,6 @@ func (s *RegSet) UnionWith(o RegSet) {
 	}
 }
 
-// Empty reports whether the set has no members.
-func (s RegSet) Empty() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // ForEach calls fn for every member in increasing dense-index order (CC,
 // then machine registers, then virtual registers) — a deterministic order,
 // unlike the map-based set this type replaced.

@@ -1,8 +1,6 @@
 package opt
 
 import (
-	"fmt"
-	"os"
 	"sort"
 
 	"repro/internal/cfg"
@@ -522,9 +520,6 @@ func tryColor(f *cfg.Func, m *machine.Machine, temps regSet) bool {
 			ordered = append(ordered, v)
 		}
 		sort.Slice(ordered, func(i, j int) bool { return ordered[i] < ordered[j] })
-		if debugSpills != nil {
-			debugSpills(f, ordered)
-		}
 		for _, v := range ordered {
 			spillReg(f, v, temps)
 		}
@@ -641,21 +636,4 @@ func rematerialize(f *cfg.Func, r rtl.Reg, temps regSet) bool {
 		b.Insts = out
 	}
 	return true
-}
-
-// debugSpills is set by tests/debug mains to trace spill decisions. It is
-// the only package-level mutable state on the optimization path (the
-// concurrency audit behind internal/service relies on this): install it
-// before any concurrent compilation starts, never mid-flight.
-var debugSpills func(f *cfg.Func, spills []rtl.Reg)
-
-// DebugSpillsHook installs a stderr tracer for spill decisions (debug
-// aid). Not safe to call while other goroutines are compiling.
-func DebugSpillsHook() {
-	round := 0
-	debugSpills = func(f *cfg.Func, spills []rtl.Reg) {
-		round++
-		fmt.Fprintf(os.Stderr, "round %d: %d spills: %v (RTLs=%d, vregs=%d)\n",
-			round, len(spills), spills[:min(len(spills), 8)], f.NumRTLs(), f.NVRegs)
-	}
 }

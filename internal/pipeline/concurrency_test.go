@@ -20,9 +20,8 @@ import (
 //
 // The audited shared state in the optimizer packages is: the machine
 // models (machine.M68020/SPARC, read-only by convention and by this
-// test), immutable lookup tables (mcc keywords, rtl names), the
-// predefined mcc type singletons, and opt.debugSpills (nil unless a
-// debug main installs it). None is written on the compile path.
+// test), immutable lookup tables (mcc keywords, rtl names), and the
+// predefined mcc type singletons. None is written on the compile path.
 func TestOptimizeConcurrentInvocations(t *testing.T) {
 	const src = `
 int x[100];

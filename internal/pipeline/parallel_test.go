@@ -9,7 +9,6 @@ import (
 	"repro/internal/mcc"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/verify"
 )
 
 // jobsFixture optimizes one compilation of the named Table-3 program with
@@ -63,8 +62,7 @@ func TestOptimizeJobsDeterministic(t *testing.T) {
 
 // TestOptimizeJobsVerifyEach runs the parallel driver under the semantic
 // verifier: a healthy pipeline must report zero violations with workers
-// enabled, and the deferred OnViolation delivery must agree with
-// Stats.Verify.
+// enabled.
 func TestOptimizeJobsVerifyEach(t *testing.T) {
 	p := bench.ProgramByName("sort")
 	if p == nil {
@@ -74,16 +72,11 @@ func TestOptimizeJobsVerifyEach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var seen []verify.Violation
 	st := pipeline.Optimize(cp, pipeline.Config{
 		Machine: machine.M68020, Level: pipeline.Jumps, Jobs: 8,
-		VerifyEach:  true,
-		OnViolation: func(v verify.Violation) { seen = append(seen, v) },
+		VerifyEach: true,
 	})
 	if len(st.Verify) != 0 {
 		t.Fatalf("verify-each under -j 8 found violations: %v", st.Verify)
-	}
-	if len(seen) != len(st.Verify) {
-		t.Fatalf("OnViolation delivered %d violations, stats carry %d", len(seen), len(st.Verify))
 	}
 }

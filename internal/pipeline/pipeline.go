@@ -91,12 +91,12 @@ type Config struct {
 	Tracer obs.Tracer
 	// VerifyEach runs the semantic IR verifier (internal/verify) after
 	// every pass and attributes the first violation to the pass that
-	// introduced it: violations land in Stats.Verify, are emitted as
-	// obs.EvVerify trace events, and are handed to OnViolation. After a
-	// function's first violating pass its remaining passes go unchecked —
-	// the damage is already attributed, and a corrupt function would drown
-	// the report in downstream noise. This is a debugging mode: every
-	// check recomputes edges, liveness and dominators.
+	// introduced it: violations land in Stats.Verify and are emitted as
+	// obs.EvVerify trace events. After a function's first violating pass
+	// its remaining passes go unchecked — the damage is already attributed,
+	// and a corrupt function would drown the report in downstream noise.
+	// This is a debugging mode: every check recomputes edges, liveness and
+	// dominators.
 	VerifyEach bool
 	// TV runs the translation validator (internal/tv) over every
 	// certificate the replication engine emits: each applied duplication
@@ -104,18 +104,12 @@ type Config struct {
 	// with fold evidence re-derived rather than trusted. Rejections carry
 	// verify.RuleTranslation and flow through the same attribution
 	// machinery as verify-each findings — pass/stage/iter stamped,
-	// recorded in Stats.Verify, emitted as obs.EvVerify events, handed to
-	// OnViolation — and a function's first rejection stops further
-	// validation for it. TV and VerifyEach are independent; either can be
-	// enabled alone. Unlike VerifyEach, TV's cost is proportional to the
-	// duplications actually applied, not to the pass count.
+	// recorded in Stats.Verify, emitted as obs.EvVerify events — and a
+	// function's first rejection stops further validation for it. TV and
+	// VerifyEach are independent; either can be enabled alone. Unlike
+	// VerifyEach, TV's cost is proportional to the duplications actually
+	// applied, not to the pass count.
 	TV bool
-	// OnViolation, when non-nil, receives every verify-each and
-	// translation-validation violation as it is found (the same data that
-	// accumulates in Stats.Verify). With Jobs > 1 the calls are deferred
-	// and delivered in function order once every function finishes, so
-	// the sequence stays deterministic.
-	OnViolation func(verify.Violation)
 	// Jobs bounds how many functions Optimize works on concurrently inside
 	// one translation unit: 0 means GOMAXPROCS, 1 forces the serial path.
 	// The output is identical for every value — functions share no mutable
@@ -211,9 +205,8 @@ func (t *bufTracer) Emit(ev *obs.Event) { t.events = append(t.events, ev) }
 // optimizeParallel fans the functions out over a bounded worker pool.
 // Determinism: workers share nothing (each function carries its own
 // scratch arena, and the concurrency tests audit the package-level state);
-// anything order-sensitive — tracer events, OnViolation callbacks, stats
-// merging — is buffered per function and delivered in function order after
-// the pool drains.
+// anything order-sensitive — tracer events and stats merging — is buffered
+// per function and delivered in function order after the pool drains.
 func optimizeParallel(p *cfg.Program, c Config, jobs int, st *Stats) {
 	n := len(p.Funcs)
 	if jobs > n {
@@ -239,7 +232,6 @@ func optimizeParallel(p *cfg.Program, c Config, jobs int, st *Stats) {
 					return
 				}
 				cf := c
-				cf.OnViolation = nil // delivered post-merge, in func order
 				if bufs != nil {
 					cf.Tracer = &bufs[i]
 				}
@@ -252,11 +244,6 @@ func optimizeParallel(p *cfg.Program, c Config, jobs int, st *Stats) {
 		if bufs != nil {
 			for _, e := range bufs[i].events {
 				c.Tracer.Emit(e)
-			}
-		}
-		if c.OnViolation != nil {
-			for _, v := range results[i].Verify {
-				c.OnViolation(v)
 			}
 		}
 		mergeFuncStats(st, results[i])
@@ -383,9 +370,6 @@ func (p *passRunner) report(pass string, vs []verify.Violation) {
 				Block: vs[i].Block, Rule: string(vs[i].Rule),
 				Detail: vs[i].Detail, Stage: p.stage, Iter: p.iter,
 			})
-		}
-		if v.cfg.OnViolation != nil {
-			v.cfg.OnViolation(vs[i])
 		}
 	}
 	v.violations = append(v.violations, vs...)

@@ -180,7 +180,7 @@ func TestCertificateDUPSEndToEnd(t *testing.T) {
 // a candidate that is rolled back never reaches the certificate hook, so
 // force-rolling-back everything yields zero certificates.
 func TestForceRollbackEmitsNoCertificates(t *testing.T) {
-	for _, src := range []string{replicableSrc, constDecidedSrc, domDecidedSrc} {
+	for _, src := range []string{replicableSrc, constDecidedSrc, domDecidedSrc, whileShapeSrc, forShapeSrc} {
 		f := mustParse(t, src)
 		var certs []*tv.Certificate
 		opts := Options{
@@ -191,6 +191,7 @@ func TestForceRollbackEmitsNoCertificates(t *testing.T) {
 		}
 		JUMPS(f, opts)
 		condElim(f, opts)
+		LOOPS(f, opts)
 		for _, c := range certs {
 			// Jump-to-next deletion is not a guarded edit (it cannot break
 			// reducibility), so its certificate legitimately survives undo

@@ -5,14 +5,14 @@
 // Elimination through Code Duplication" (which removes conditional branches
 // whose outcome is already decided on an incoming path).
 //
-// All three are built on one generic duplication engine (this file): every
-// speculative structural edit — splicing copied blocks, truncating a jump,
-// retargeting branches — is recorded in an undo log and applied under a
-// reducibility guard, so a failed attempt rolls the function back
-// byte-identically without cloning it. Pass-specific policy lives in
-// pluggable profitability models (profit.go) that drive the shared growth
-// budget (§5.2 conservatism: bounded replications, a function-size ceiling,
-// and a futility cutoff).
+// All three policies run their edits under one reducibility guard,
+// applyGuarded (this file): every speculative structural edit — splicing
+// copied blocks, replacing a jump with a rotated test, retargeting
+// branches — is recorded in an undo log, so a failed attempt rolls the
+// function back byte-identically without cloning it. Pass-specific policy
+// lives in pluggable profitability models (profit.go) that drive the
+// shared growth budget (§5.2 conservatism: bounded replications, a
+// function-size ceiling, and a futility cutoff).
 package replicate
 
 import (
@@ -22,11 +22,11 @@ import (
 
 // undoLog records the structural edits of one speculative duplication so
 // rollback can reverse them exactly. It is deliberately not a
-// whole-function clone (see PR 8's allocation diet): a duplication only
-// truncates instruction slices (the backing arrays keep the removed
-// instructions), inserts fresh blocks at one position, retargets branch
-// instructions in place, and advances the fresh-label counter — four edit
-// kinds, each reversed precisely, restoring the function byte for byte.
+// whole-function clone: a duplication only replaces a block's instruction
+// slice (the old slice, and its backing array, stay intact), inserts fresh
+// blocks at one position, retargets branch instructions in place, and
+// advances the fresh-label counter — four edit kinds, each reversed
+// precisely, restoring the function byte for byte.
 type undoLog struct {
 	f         *cfg.Func
 	labelMark rtl.Label
@@ -37,11 +37,13 @@ type undoLog struct {
 	insertAt, insertN int
 }
 
-// trunc records one block whose instruction slice was truncated (the
-// replaced terminator survives in the backing array past the new length).
+// trunc records one block whose instruction slice was replaced. The edit
+// must leave the saved slice's elements untouched: it either truncates
+// (the removed terminator survives in the backing array past the new
+// length) or builds the new slice in a fresh array.
 type trunc struct {
-	b        *cfg.Block
-	savedLen int
+	b     *cfg.Block
+	saved []rtl.Inst
 }
 
 // retarget records one branch rewrite so the undo log can reverse it. The
@@ -58,10 +60,10 @@ func beginUndo(f *cfg.Func) *undoLog {
 	return &undoLog{f: f, labelMark: f.LabelMark(), insertAt: -1}
 }
 
-// truncated records that b's instruction slice is about to shrink from
-// savedLen (call before the edit truncates it).
-func (u *undoLog) truncated(b *cfg.Block, savedLen int) {
-	u.truncs = append(u.truncs, trunc{b: b, savedLen: savedLen})
+// truncated records b's instruction slice before the edit replaces it
+// (call before the edit).
+func (u *undoLog) truncated(b *cfg.Block) {
+	u.truncs = append(u.truncs, trunc{b: b, saved: b.Insts})
 }
 
 // retargeted records that inst's Target was old before the edit rewrote it.
@@ -90,7 +92,7 @@ func (u *undoLog) rollback() {
 		f.Renumber()
 	}
 	for _, t := range u.truncs {
-		t.b.Insts = t.b.Insts[:t.savedLen]
+		t.b.Insts = t.saved
 	}
 	u.f.ResetLabels(u.labelMark)
 }

@@ -216,7 +216,7 @@ func applyFold(f *cfg.Func, opts Options, p, t *cfg.Block, kind edgeKind, taken 
 		nb.Insts[len(nb.Insts)-1] = rtl.Inst{Kind: rtl.Jmp, Target: dest}
 		switch kind {
 		case edgeJump:
-			u.truncated(p, len(p.Insts))
+			u.truncated(p)
 			p.Insts = p.Insts[:len(p.Insts)-1]
 			f.InsertBlocksAfter(p.Index, nb)
 			u.insertedBlocks(p.Index, 1)

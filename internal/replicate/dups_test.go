@@ -180,7 +180,7 @@ func TestDupsRunsJumpsLeg(t *testing.T) {
 // TestForceRollbackByteIdentical is the undo-log acceptance test: with the
 // ForceRollback fault injection every guarded duplication must be rolled
 // back to a byte-identical function — text, label counter and block count —
-// for both the conditional-elimination and the JUMPS splice paths.
+// for the conditional-elimination, JUMPS splice and LOOPS rotation paths.
 func TestForceRollbackByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -192,6 +192,8 @@ func TestForceRollbackByteIdentical(t *testing.T) {
 		{"jumps/table1", table1Src, JUMPS},
 		{"jumps/table2", table2Src, JUMPS},
 		{"dups/const", constDecidedSrc, DUPS},
+		{"loops/while", whileShapeSrc, LOOPS},
+		{"loops/for", forShapeSrc, LOOPS},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := mustParse(t, tc.src)

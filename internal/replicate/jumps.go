@@ -534,7 +534,7 @@ func attemptReplication(f *cfg.Func, loops []*cfg.Loop, bIdx int, c candidate, o
 		})
 	}
 	ok := applyGuarded(f, opts, func(u *undoLog) {
-		u.truncated(b, len(b.Insts))
+		u.truncated(b)
 		firstCopy, inserted := splice(f, b, c, cert)
 		u.insertedBlocks(bIdx, inserted)
 		// Step 5: preserve loop structure around partially copied loops.

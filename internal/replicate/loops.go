@@ -13,8 +13,11 @@ import (
 // test, is replaced by a copy of the test with the condition adjusted so
 // the copy falls through to the block positionally following the jump.
 // Depending on the original layout this removes one jump at the loop entry
-// or one jump per iteration. Only opts.Tracer is consulted from the
-// options; the Result carries the rotation counters.
+// or one jump per iteration. Like JUMPS and DUPS, each rotation runs under
+// applyGuarded: it is kept only if the flow graph stays reducible, and a
+// rollback ends the invocation. Of the options, LOOPS consults the Tracer,
+// the certificate hook and the two fault injections; the Result carries
+// the rotation counters.
 func LOOPS(f *cfg.Func, opts Options) Result {
 	var res Result
 	for iter := 0; iter < 100; iter++ {
@@ -54,7 +57,7 @@ func pureTestBlock(h *cfg.Block) bool {
 }
 
 // rotateOne finds one qualifying jump and replaces it; returns false when
-// none remains.
+// none remains or the rotation was rolled back.
 func rotateOne(f *cfg.Func, opts Options, res *Result) bool {
 	e := cfg.ComputeEdges(f)
 	d := cfg.ComputeDominators(e)
@@ -123,17 +126,17 @@ func rotateOne(f *cfg.Func, opts Options, res *Result) bool {
 		}
 		rep = append(rep, br)
 		cand := []obs.Candidate{{Kind: obs.KindRotation, RTLs: len(rep), Blocks: 1}}
-		// The splice below reuses p.Insts' backing array, invalidating t;
-		// capture the jump's identity for the decision log first.
 		jumpBlock, jumpTarget := p.Label, t.Target
-		snapshot := f.Clone()
-		p.Insts = append(p.Insts[:len(p.Insts)-1], rep...)
-		if !cfg.IsReducible(f) {
-			f.Restore(snapshot)
+		if !applyGuarded(f, opts, func(u *undoLog) {
+			u.truncated(p)
+			// A fresh array keeps the jump in the saved slice for rollback.
+			n := len(p.Insts) - 1
+			p.Insts = append(p.Insts[:n:n], rep...)
+		}) {
 			res.Rollbacks++
 			cand[0].RolledBack = true
 			emitDecision(opts, f, jumpBlock, jumpTarget, cand, obs.OutRolledBack)
-			return rotateNextAfterRollback(f)
+			return false
 		}
 		res.Replications++
 		res.RTLsCopied += len(rep)
@@ -149,9 +152,3 @@ func rotateOne(f *cfg.Func, opts Options, res *Result) bool {
 	}
 	return false
 }
-
-// rotateNextAfterRollback exists to keep rotateOne's control flow simple: a
-// rollback means this particular jump is unprofitable; scanning resumes on
-// the next driver iteration, which will skip it because the shape check
-// fails identically, so simply report no change.
-func rotateNextAfterRollback(*cfg.Func) bool { return false }

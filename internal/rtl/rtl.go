@@ -132,9 +132,6 @@ func (o Operand) IsMem() bool {
 	return o.Kind == OLocal || o.Kind == OGlobal || o.Kind == OMem
 }
 
-// IsReg reports whether the operand is exactly a register.
-func (o Operand) IsReg() bool { return o.Kind == OReg }
-
 // IsImmLike reports whether the operand is a compile-time constant value
 // (integer immediate or the address of a local/global).
 func (o Operand) IsImmLike() bool {
@@ -433,21 +430,6 @@ func (in *Inst) IsCTI() bool {
 	switch in.Kind {
 	case Br, Jmp, IJmp, Ret:
 		return true
-	}
-	return false
-}
-
-// HasSideEffects reports whether removing the instruction could change
-// program behaviour beyond its Dst result: memory stores, calls, argument
-// setup and control transfers are side effects.
-func (in *Inst) HasSideEffects() bool {
-	switch in.Kind {
-	case Br, Jmp, IJmp, Ret, Call, Arg:
-		return true
-	case Move, Bin, Un:
-		return in.Dst.IsMem()
-	case Cmp:
-		return true // sets the condition code; handled by dedicated passes
 	}
 	return false
 }

@@ -174,15 +174,6 @@ func TestInstClassification(t *testing.T) {
 			t.Errorf("%v should not be a CTI", in.Kind)
 		}
 	}
-	if (&Inst{Kind: Move, Dst: R(1), Src: Imm(0)}).HasSideEffects() {
-		t.Error("register move has no side effects")
-	}
-	if !(&Inst{Kind: Move, Dst: Local(0), Src: Imm(0)}).HasSideEffects() {
-		t.Error("store has side effects")
-	}
-	if !(&Inst{Kind: Call, Sym: "f"}).HasSideEffects() {
-		t.Error("call has side effects")
-	}
 }
 
 func TestInstClone(t *testing.T) {

@@ -313,7 +313,7 @@ func TestGridTablesDeterministicWithRecorder(t *testing.T) {
 	if err := json.Unmarshal(res, &grid); err != nil {
 		t.Fatal(err)
 	}
-	if s.Recorder().Total() == 0 {
+	if s.recorder.Total() == 0 {
 		t.Fatal("flight recorder saw no events during the grid")
 	}
 

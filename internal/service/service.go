@@ -217,9 +217,6 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// Recorder exposes the flight recorder (for GET /debug/events and tests).
-func (s *Service) Recorder() *obs.FlightRecorder { return s.recorder }
-
 // Version returns the effective build version.
 func (s *Service) Version() string { return s.version }
 
