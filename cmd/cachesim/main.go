@@ -24,14 +24,10 @@ func main() {
 	file := flag.String("in", "", "trace file (default: stdin)")
 	flag.Parse()
 
-	var sizes []int64
-	for _, s := range strings.Split(*sizesArg, ",") {
-		v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-		if err != nil || v <= 0 {
-			fmt.Fprintf(os.Stderr, "cachesim: bad size %q\n", s)
-			os.Exit(2)
-		}
-		sizes = append(sizes, v)
+	sizes, err := parseSizes(*sizesArg, *lineBytes)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "cachesim:", err)
+		os.Exit(2)
 	}
 	var caches []*cache.Cache
 	for _, sz := range sizes {
@@ -90,4 +86,21 @@ func main() {
 		fmt.Printf("%10d %5s %12d %12d %12d %14d %8.3f%%\n",
 			st.SizeBytes, ctxs, st.Fetches, st.Hits, st.Misses, st.Cost, 100*st.MissRatio())
 	}
+}
+
+// parseSizes parses the -sizes list and checks each size, with the -line
+// size, against cache.CheckGeometry.
+func parseSizes(arg string, lineBytes int64) ([]int64, error) {
+	var sizes []int64
+	for _, s := range strings.Split(arg, ",") {
+		v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
+		if err != nil || v <= 0 {
+			return nil, fmt.Errorf("bad size %q", s)
+		}
+		if err := cache.CheckGeometry(v, lineBytes); err != nil {
+			return nil, err
+		}
+		sizes = append(sizes, v)
+	}
+	return sizes, nil
 }

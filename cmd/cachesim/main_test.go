@@ -136,3 +136,28 @@ func TestCacheReplayGoldenX86(t *testing.T) {
 		t.Errorf("stats do not add up: %+v", st)
 	}
 }
+
+// TestParseSizes checks the -sizes and -line validation: a geometry the
+// cache cannot build is a usage error, not a panic.
+func TestParseSizes(t *testing.T) {
+	for _, c := range []struct {
+		sizes string
+		line  int64
+		ok    bool
+	}{
+		{"1024,2048,4096,8192", 16, true},
+		{"128, 256", 32, true},
+		{"1000", 16, false},
+		{"48", 16, false},
+		{"8", 16, false},
+		{"0", 16, false},
+		{"x", 16, false},
+		{"1024", 12, false},
+		{"1024", 0, false},
+	} {
+		_, err := parseSizes(c.sizes, c.line)
+		if (err == nil) != c.ok {
+			t.Errorf("parseSizes(%q, %d) = %v, want ok=%v", c.sizes, c.line, err, c.ok)
+		}
+	}
+}

@@ -128,6 +128,13 @@ func RunGrid(ctx context.Context, cfg GridConfig) (*Results, error) {
 	runCell := func(i int, wait time.Duration) {
 		sp := specs[i]
 		m, lv := machines[sp.mach], levels[sp.level]
+		defer func() {
+			// A cell that panics (cache.NewBank rejecting a size, say)
+			// fails the grid instead of leaving its Run nil.
+			if r := recover(); r != nil {
+				fail(fmt.Errorf("bench: %s (%s/%s): %v", sp.prog.Name, m.Name, lv, r))
+			}
+		}()
 		tr := cfg.Tracer
 		if tr != nil {
 			tr = cellStamp{machine: m.Name, level: lv.String(), next: tr}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -175,5 +176,27 @@ func TestResultsGetIndexed(t *testing.T) {
 	res.Cells = append(res.Cells, extra)
 	if got := res.Get("phantom", extra.Machine, extra.Level); got == nil {
 		t.Fatal("Get missed a cell appended after the index was built")
+	}
+}
+
+// TestRunGridBadCacheSize runs a cell whose cache bank cannot be built
+// (1000 bytes is not a power of two) through a pool: the cell's panic
+// must come back as the grid's error, with no result.
+func TestRunGridBadCacheSize(t *testing.T) {
+	pool := service.NewPool(2, 0)
+	defer pool.Shutdown(context.Background())
+	for _, p := range []bench.Pool{nil, pool} {
+		res, err := bench.RunGrid(context.Background(), bench.GridConfig{
+			Programs:   subset(t, "queens"),
+			Caches:     true,
+			CacheSizes: []int64{1000},
+			Pool:       p,
+		})
+		if err == nil || res != nil {
+			t.Fatalf("pool %v: RunGrid = %v, %v; want an error and no result", p != nil, res, err)
+		}
+		if !strings.Contains(err.Error(), "bad geometry 1000") {
+			t.Errorf("pool %v: err = %v, want the bank's geometry error", p != nil, err)
+		}
 	}
 }

@@ -111,18 +111,17 @@ func TestMissRatioMonotoneInSize(t *testing.T) {
 
 func TestBankOrder(t *testing.T) {
 	b := NewPaperBank()
-	if len(b.Caches) != 8 {
-		t.Fatalf("bank has %d caches, want 8", len(b.Caches))
+	b.Fetch(0, 4)
+	stats := b.Stats()
+	if len(stats) != 8 {
+		t.Fatalf("bank has %d caches, want 8", len(stats))
 	}
 	wantSizes := []int64{1024, 1024, 2048, 2048, 4096, 4096, 8192, 8192}
 	wantCtx := []bool{true, false, true, false, true, false, true, false}
-	for i, c := range b.Caches {
-		if c.SizeBytes != wantSizes[i] || c.CtxSwitches != wantCtx[i] {
-			t.Errorf("bank[%d] = %d/%v", i, c.SizeBytes, c.CtxSwitches)
+	for i, st := range stats {
+		if st.SizeBytes != wantSizes[i] || st.CtxSwitches != wantCtx[i] {
+			t.Errorf("bank[%d] = %d/%v", i, st.SizeBytes, st.CtxSwitches)
 		}
-	}
-	b.Fetch(0, 4)
-	for i, st := range b.Stats() {
 		if st.Fetches != 1 {
 			t.Errorf("bank[%d] did not receive the fetch", i)
 		}
@@ -130,11 +129,11 @@ func TestBankOrder(t *testing.T) {
 }
 
 func TestNewBankCustomSizes(t *testing.T) {
-	b := NewBank([]int64{128, 256})
-	if len(b.Caches) != 4 {
-		t.Fatalf("custom bank has %d caches, want 4", len(b.Caches))
+	stats := NewBank([]int64{128, 256}).Stats()
+	if len(stats) != 4 {
+		t.Fatalf("custom bank has %d caches, want 4", len(stats))
 	}
-	if b.Caches[0].SizeBytes != 128 || b.Caches[2].SizeBytes != 256 {
+	if stats[0].SizeBytes != 128 || stats[2].SizeBytes != 256 {
 		t.Error("custom sizes wrong")
 	}
 }

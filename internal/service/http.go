@@ -60,12 +60,18 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v) // nothing to do about a broken client connection
 }
 
-// writeError maps service errors to HTTP statuses: validation -> 422,
-// overload -> 503 (with Retry-After), timeout -> 504, unknown -> 500.
+// writeError maps service errors to HTTP statuses: a malformed field ->
+// 400, other validation -> 422, overload -> 503 (with Retry-After),
+// timeout -> 504, unknown -> 500.
 func writeError(w http.ResponseWriter, err error) {
+	var bad *badRequestError
 	switch {
-	case IsBadRequest(err):
-		writeJSON(w, http.StatusUnprocessableEntity, errorBody{err.Error()})
+	case errors.As(err, &bad):
+		status := http.StatusUnprocessableEntity
+		if bad.malformed {
+			status = http.StatusBadRequest
+		}
+		writeJSON(w, status, errorBody{err.Error()})
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{err.Error()})

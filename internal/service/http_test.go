@@ -285,6 +285,22 @@ func TestGridValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("unknown program: status = %d, want 422", resp.StatusCode)
 	}
+	// Cache sizes the bank cannot build, or too many of them, are
+	// rejected before any cell runs, and the daemon keeps serving.
+	for _, sizes := range [][]int64{{1000}, {48}, {0}, {1 << 40}, {-1024}, {8}, {2 << 20}, {16, 32, 64, 128, 256, 512, 1024, 2048, 4096}} {
+		resp, body := postJSON(t, srv.URL+"/grid", GridRequest{Programs: []string{"queens"}, Caches: true, CacheSizes: sizes})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("cache_sizes %v: status = %d, want 400 (%s)", sizes, resp.StatusCode, body)
+		}
+	}
+	if resp, _ := getBody(t, srv.URL+"/healthz"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after bad grids = %d", resp.StatusCode)
+	}
+	// The smallest and largest sizes are accepted.
+	resp, body := postJSON(t, srv.URL+"/grid", GridRequest{Programs: []string{"queens"}, Caches: true, CacheSizes: []int64{16, 1 << 20}})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("cache_sizes [16, 1<<20]: status = %d, want 202 (%s)", resp.StatusCode, body)
+	}
 }
 
 func TestJobNotFound(t *testing.T) {

@@ -30,20 +30,22 @@ var (
 	ErrNotFound = errors.New("service: not found")
 )
 
-// badRequestError marks client mistakes (HTTP 400/422) as opposed to
-// server-side failures.
-type badRequestError struct{ msg string }
+// badRequestError marks client mistakes as opposed to server-side
+// failures: a field value outside its allowed range (malformed, HTTP 400)
+// or a request the service cannot process (HTTP 422).
+type badRequestError struct {
+	msg       string
+	malformed bool
+}
 
 func (e *badRequestError) Error() string { return e.msg }
 
 func badRequestf(format string, args ...any) error {
-	return &badRequestError{fmt.Sprintf(format, args...)}
+	return &badRequestError{msg: fmt.Sprintf(format, args...)}
 }
 
-// IsBadRequest reports whether err is a request-validation failure.
-func IsBadRequest(err error) bool {
-	var b *badRequestError
-	return errors.As(err, &b)
+func malformedf(format string, args ...any) error {
+	return &badRequestError{msg: fmt.Sprintf(format, args...), malformed: true}
 }
 
 // Config sizes the service.
@@ -777,6 +779,31 @@ type GridResult struct {
 	Tables string `json:"tables,omitempty"`
 }
 
+// Limits on a grid's cache_sizes beyond what the cache bank can build (a
+// power of two of at least one line, cache.CheckGeometry): no Table-6
+// study needs a cache over 1 MiB or more than eight sizes.
+const (
+	maxCacheBytes = 1 << 20
+	maxCacheSizes = 8
+)
+
+// checkCacheSizes rejects cache sizes the bank cannot build or that would
+// allocate more than any Table-6 study needs.
+func checkCacheSizes(sizes []int64) error {
+	if len(sizes) > maxCacheSizes {
+		return malformedf("cache_sizes: %d sizes, at most %d", len(sizes), maxCacheSizes)
+	}
+	for _, sz := range sizes {
+		if sz > maxCacheBytes {
+			return malformedf("cache_sizes: %d bytes, at most %d", sz, maxCacheBytes)
+		}
+		if err := icache.CheckGeometry(sz, icache.DefaultLineBytes); err != nil {
+			return malformedf("cache_sizes: %v", err)
+		}
+	}
+	return nil
+}
+
 // SubmitGrid validates req, registers an async job, and starts a
 // coordinator goroutine that fans the grid cells out over the worker
 // pool. The returned snapshot carries the job ID for GET /jobs/{id}.
@@ -786,6 +813,9 @@ func (s *Service) SubmitGrid(req GridRequest) (JobView, error) {
 	}
 	c, err := Spec{Replication: req.Replication}.resolve()
 	if err != nil {
+		return JobView{}, err
+	}
+	if err := checkCacheSizes(req.CacheSizes); err != nil {
 		return JobView{}, err
 	}
 	progs := bench.Programs()

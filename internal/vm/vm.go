@@ -55,7 +55,9 @@ type Config struct {
 	// called with (address, size) for every executed instruction.
 	Layout  *Layout
 	OnFetch func(addr, size int64)
-	// MemCells sizes the data memory (0 = default 1<<22 cells).
+	// MemCells limits the data memory (0 = default 1<<22 cells): an access
+	// outside [0, MemCells) is ErrFault. Memory is allocated on demand as
+	// stores reach it; a cell never written reads 0.
 	MemCells int64
 	// Trace, when non-nil, receives one line per executed instruction:
 	// function, block label, and the instruction text. Expensive; for
@@ -64,18 +66,6 @@ type Config struct {
 	// Profile enables per-block execution counting (one counter increment
 	// per block entered); the counts are returned in Result.Profile.
 	Profile bool
-}
-
-type frame struct {
-	fn    *cfg.Func
-	fnIdx int
-	fp    int64
-	regs  map[rtl.Reg]int64
-	// Return site: block/instruction indices in the caller.
-	retBlock, retInst int
-	retDst            rtl.Operand
-	// Condition code operand values at the last Cmp.
-	ccX, ccY int64
 }
 
 type errExit struct{ code int64 }
@@ -92,13 +82,25 @@ var (
 	ErrBudget = errors.New("instruction budget exceeded")
 )
 
+// fault is the panic value of a wild memory access; Run reports it as
+// ErrFault.
+type fault struct{ cell, limit int64 }
+
+func (f fault) String() string {
+	return fmt.Sprintf("cell %d outside memory [0, %d)", f.cell, f.limit)
+}
+
 // machineState is the whole simulated machine.
 type machineState struct {
-	prog    *cfg.Program
-	cfgIdx  map[*cfg.Func]int
-	labels  []map[rtl.Label]int // per function: label -> block index
-	mem     []int64
-	gaddr   map[string]int64
+	fns []function
+	// mem is the data memory allocated so far; the cells from len(mem) up
+	// to memCells exist but were never written, so they read 0.
+	mem      []int64
+	memCells int64
+	// regs is the register stack: each active frame's registers are the
+	// slice regs[base:base+nregs], and rsp is the first free slot.
+	regs    []int64
+	rsp     int
 	sp      int64
 	in      []byte
 	inPos   int
@@ -106,7 +108,6 @@ type machineState struct {
 	counts  Counts
 	steps   int64
 	max     int64
-	layout  *Layout
 	onFetch func(addr, size int64)
 	trace   io.Writer
 	args    []int64 // pending outgoing arguments
@@ -118,8 +119,8 @@ type machineState struct {
 // Run executes the program's main function.
 func Run(p *cfg.Program, cfgr Config) (res *Result, err error) {
 	defer func() {
-		// Wild memory accesses surface as slice-bounds panics; report them
-		// as runtime errors rather than crashing the host.
+		// Wild memory accesses surface as panics; report them as runtime
+		// errors rather than crashing the host.
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("vm: %w: %v", ErrFault, r)
 		}
@@ -137,26 +138,14 @@ func run(p *cfg.Program, cfgr Config) (*Result, error) {
 		max = 500_000_000
 	}
 	m := &machineState{
-		prog:    p,
-		cfgIdx:  map[*cfg.Func]int{},
-		mem:     make([]int64, memCells),
-		gaddr:   map[string]int64{},
-		in:      cfgr.Input,
-		max:     max,
-		layout:  cfgr.Layout,
-		onFetch: cfgr.OnFetch,
-		trace:   cfgr.Trace,
+		memCells: memCells,
+		in:       cfgr.Input,
+		max:      max,
+		onFetch:  cfgr.OnFetch,
+		trace:    cfgr.Trace,
 	}
-	if m.onFetch != nil && m.layout == nil {
+	if m.onFetch != nil && cfgr.Layout == nil {
 		return nil, errors.New("vm: OnFetch requires a Layout")
-	}
-	for i, f := range p.Funcs {
-		m.cfgIdx[f] = i
-		lm := make(map[rtl.Label]int, len(f.Blocks))
-		for bi, b := range f.Blocks {
-			lm[b.Label] = bi
-		}
-		m.labels = append(m.labels, lm)
 	}
 	if cfgr.Profile {
 		m.prof = make([][]int64, len(p.Funcs))
@@ -165,18 +154,35 @@ func run(p *cfg.Program, cfgr Config) (*Result, error) {
 		}
 	}
 	// Place globals at the bottom of memory.
+	gaddr := make(map[string]int64, len(p.Globals))
 	addr := int64(1) // cell 0 reserved so no global has address 0 (NULL)
 	for _, g := range p.Globals {
-		m.gaddr[g.Name] = addr
-		copy(m.mem[addr:addr+g.Size], g.Init)
+		gaddr[g.Name] = addr
+		if g.Size < 0 || addr+g.Size > memCells {
+			panic(fault{addr + g.Size, memCells})
+		}
+		for i, v := range g.Init[:min(int64(len(g.Init)), g.Size)] {
+			m.write(addr+int64(i), v)
+		}
 		addr += g.Size
 	}
 	m.sp = addr
-	mainFn := p.Func("main")
-	if mainFn == nil {
+	mainIdx := -1
+	for i, f := range p.Funcs {
+		if f.Name == "main" {
+			mainIdx = i
+			break
+		}
+	}
+	if mainIdx < 0 {
 		return nil, errors.New("vm: no main function")
 	}
-	rv, err := m.call(mainFn, nil)
+	var layout *Layout
+	if m.onFetch != nil {
+		layout = cfgr.Layout
+	}
+	m.fns = decode(p, gaddr, layout)
+	rv, err := m.call(int32(mainIdx))
 	res := &Result{Counts: m.counts, Output: m.out.Bytes(), Steps: m.steps, ExitCode: rv}
 	if m.prof != nil {
 		res.Profile = buildProfile(p, m.prof)
@@ -196,51 +202,108 @@ func (m *machineState) runtimeErr(f *cfg.Func, format string, args ...interface{
 	return fmt.Errorf("vm: in %s: %s", f.Name, fmt.Sprintf(format, args...))
 }
 
-// call pushes a frame for fn with the given arguments and interprets it to
-// its return, yielding the return value.
-func (m *machineState) call(fn *cfg.Func, args []int64) (int64, error) {
-	if int64(fn.NLocals)+m.sp+64 >= int64(len(m.mem)) {
-		return 0, m.runtimeErr(fn, "out of stack memory")
+// read returns memory cell a.
+func (m *machineState) read(a int64) int64 {
+	if uint64(a) < uint64(len(m.mem)) {
+		return m.mem[a]
 	}
-	fr := &frame{fn: fn, fnIdx: m.cfgIdx[fn], fp: m.sp, regs: map[rtl.Reg]int64{}}
-	m.sp += int64(fn.NLocals)
-	defer func() { m.sp = fr.fp }()
-	for i, a := range args {
-		if i < fn.NParams {
-			m.mem[fr.fp+int64(i)] = a
-		}
+	if a < 0 || a >= m.memCells {
+		panic(fault{a, m.memCells})
 	}
-	fr.regs[rtl.FP] = fr.fp
-	fr.regs[rtl.SP] = m.sp
+	return 0
+}
 
-	labels := m.labels[fr.fnIdx]
+// write sets memory cell a, growing the allocated memory to reach it.
+func (m *machineState) write(a, v int64) {
+	if uint64(a) >= uint64(len(m.mem)) {
+		m.grow(a)
+	}
+	m.mem[a] = v
+}
+
+// grow extends the allocated memory to cover cell a, at least doubling it
+// but never past memCells.
+func (m *machineState) grow(a int64) {
+	if a < 0 || a >= m.memCells {
+		panic(fault{a, m.memCells})
+	}
+	n := min(max(a+1, 2*int64(len(m.mem)), 1024), m.memCells)
+	m.mem = append(m.mem, make([]int64, n-int64(len(m.mem)))...)
+}
+
+// call pushes a frame for function fi, copies the pending arguments into
+// its parameters and interprets it to its return, yielding the return
+// value.
+func (m *machineState) call(fi int32) (int64, error) {
+	fn := &m.fns[fi]
+	f := fn.src
+	if int64(f.NLocals)+m.sp+64 >= m.memCells {
+		return 0, m.runtimeErr(f, "out of stack memory")
+	}
+	fp := m.sp
+	m.sp += int64(f.NLocals)
+	for i, a := range m.args[:min(len(m.args), f.NParams)] {
+		m.write(fp+int64(i), a)
+	}
+	m.args = m.args[:0]
+	base, top := m.rsp, m.rsp+fn.nregs
+	if top > len(m.regs) {
+		// Active frames keep their slices of the old stack.
+		m.regs = make([]int64, max(top, 2*len(m.regs)))
+	}
+	regs := m.regs[base:top:top]
+	clear(regs)
+	regs[0], regs[1] = fp, m.sp
+	m.rsp = top
+	rv, err := m.exec(fn, fi, regs, fp)
+	m.rsp, m.sp = base, fp
+	return rv, err
+}
+
+// Pending control transfers of a block.
+const (
+	fallThrough = iota
+	goTo
+	ret
+)
+
+// exec interprets function fi in the frame (regs, fp).
+func (m *machineState) exec(fn *function, fi int32, regs []int64, fp int64) (int64, error) {
+	var prof []int64
+	if m.prof != nil {
+		prof = m.prof[fi]
+	}
+	onFetch, trace := m.onFetch, m.trace
+	// Condition code operand values at the frame's last Cmp.
+	var ccX, ccY int64
 	bi := 0
 	for {
-		if bi < 0 || bi >= len(fn.Blocks) {
-			return 0, m.runtimeErr(fn, "control fell off the end of the function")
+		if bi >= len(fn.blocks) {
+			return 0, m.runtimeErr(fn.src, "control fell off the end of the function")
 		}
-		b := fn.Blocks[bi]
-		if m.prof != nil {
-			m.prof[fr.fnIdx][bi]++
+		if prof != nil {
+			prof[bi]++
 		}
 		// Interpret the block. A control-transfer instruction records the
 		// pending transfer; any instructions after it (delay slots) still
 		// execute, then the transfer happens — exactly SPARC delay-slot
 		// semantics. On machines without delay slots the CTI is last, so
 		// behaviour is identical.
-		pending := 0 // 0: none, 1: goto label, 2: return
-		var pendingLabel rtl.Label
+		pending := fallThrough
+		var target int32
+		var badLabel rtl.Label
 		var retVal int64
 		annulled := false
-		for ii := 0; ii < len(b.Insts); ii++ {
-			in := &b.Insts[ii]
+		b := fn.blocks[bi]
+		for pc := b.start; pc < b.end; pc++ {
+			in := &fn.insts[pc]
 			m.steps++
 			if m.steps > m.max {
-				return 0, fmt.Errorf("vm: in %s: %w (%d)", fn.Name, ErrBudget, m.max)
+				return 0, fmt.Errorf("vm: in %s: %w (%d)", fn.src.Name, ErrBudget, m.max)
 			}
 			m.counts.Exec++
-			if m.onFetch != nil {
-				m.onFetch(m.layout.Addr[fr.fnIdx][bi][ii], m.layout.Size[fr.fnIdx][bi][ii])
+			if onFetch != nil {
+				onFetch(in.addr, in.size)
 			}
 			if annulled {
 				// The delay slot of an untaken annulled branch: fetched
@@ -249,83 +312,85 @@ func (m *machineState) call(fn *cfg.Func, args []int64) (int64, error) {
 				// bubble it is.
 				annulled = false
 				m.counts.Nops++
-				if m.trace != nil {
-					fmt.Fprintf(m.trace, "%s %s\t(squashed) %s\n", fn.Name, b.Label, in)
+				if trace != nil {
+					fmt.Fprintf(trace, "%s %s\t(squashed) %s\n", fn.src.Name, fn.src.Blocks[bi].Label, in.orig)
 				}
 				continue
 			}
-			if m.trace != nil {
-				fmt.Fprintf(m.trace, "%s %s\t%s\n", fn.Name, b.Label, in)
+			if trace != nil {
+				fmt.Fprintf(trace, "%s %s\t%s\n", fn.src.Name, fn.src.Blocks[bi].Label, in.orig)
 			}
-			switch in.Kind {
+			switch in.kind {
 			case rtl.Move:
-				m.store(fr, in.Dst, m.load(fr, in.Src))
+				m.store(regs, fp, &in.dst, m.load(regs, fp, &in.src))
 			case rtl.Bin:
-				m.store(fr, in.Dst, in.BOp.Eval(m.load(fr, in.Src), m.load(fr, in.Src2)))
+				m.store(regs, fp, &in.dst, in.bop.Eval(m.load(regs, fp, &in.src), m.load(regs, fp, &in.src2)))
 			case rtl.Un:
-				m.store(fr, in.Dst, in.UOp.Eval(m.load(fr, in.Src)))
+				m.store(regs, fp, &in.dst, in.uop.Eval(m.load(regs, fp, &in.src)))
 			case rtl.Cmp:
-				fr.ccX, fr.ccY = m.load(fr, in.Src), m.load(fr, in.Src2)
+				ccX, ccY = m.load(regs, fp, &in.src), m.load(regs, fp, &in.src2)
 			case rtl.Br:
 				m.counts.CondBranches++
 				m.counts.Transfers++
-				if in.BrRel.Holds(fr.ccX, fr.ccY) {
+				if in.rel.Holds(ccX, ccY) {
 					m.counts.TakenBranches++
-					pending, pendingLabel = 1, in.Target
-				} else if in.Annul {
+					pending, target, badLabel = goTo, in.target, in.orig.Target
+				} else if in.annul {
 					annulled = true
 				}
 			case rtl.Jmp:
 				m.counts.UncondJumps++
 				m.counts.Transfers++
-				pending, pendingLabel = 1, in.Target
+				pending, target, badLabel = goTo, in.target, in.orig.Target
 			case rtl.IJmp:
 				m.counts.UncondJumps++
 				m.counts.IndirectJumps++
 				m.counts.Transfers++
-				v := m.load(fr, in.Src) - in.Lo
-				if v < 0 || v >= int64(len(in.Table)) {
-					return 0, m.runtimeErr(fn, "jump table index out of range: %d", v+in.Lo)
+				v := m.load(regs, fp, &in.src) - in.lo
+				if v < 0 || v >= int64(len(in.table)) {
+					return 0, m.runtimeErr(fn.src, "jump table index out of range: %d", v+in.lo)
 				}
-				pending, pendingLabel = 1, in.Table[v]
+				pending, target, badLabel = goTo, in.table[v], in.orig.Table[v]
 			case rtl.Arg:
-				for len(m.args) <= in.ArgIdx {
+				for len(m.args) <= in.argIdx {
 					m.args = append(m.args, 0)
 				}
-				m.args[in.ArgIdx] = m.load(fr, in.Src)
+				m.args[in.argIdx] = m.load(regs, fp, &in.src)
 			case rtl.Call:
 				m.counts.Calls++
 				m.counts.Transfers++
-				callArgs := append([]int64(nil), m.args...)
-				m.args = m.args[:0]
-				rv, err := m.doCall(fn, in, callArgs)
+				var rv int64
+				var err error
+				if in.callee >= 0 {
+					rv, err = m.call(in.callee)
+				} else {
+					rv, err = m.intrinsic(fn.src, in)
+					m.args = m.args[:0]
+				}
 				if err != nil {
 					return 0, err
 				}
-				if in.Dst.Kind != rtl.ONone {
-					m.store(fr, in.Dst, rv)
-				}
+				m.store(regs, fp, &in.dst, rv)
 			case rtl.Ret:
 				m.counts.Rets++
 				m.counts.Transfers++
-				pending = 2
-				if in.Src.Kind != rtl.ONone {
-					retVal = m.load(fr, in.Src)
+				pending = ret
+				if in.src.kind != oNone {
+					retVal = m.load(regs, fp, &in.src)
 				}
 			case rtl.Nop:
 				m.counts.Nops++
 			default:
-				return 0, m.runtimeErr(fn, "unknown instruction kind %v", in.Kind)
+				return 0, m.runtimeErr(fn.src, "unknown instruction kind %v", in.kind)
 			}
 		}
 		switch pending {
-		case 1:
-			nbi, ok := labels[pendingLabel]
-			if !ok {
-				return 0, m.runtimeErr(fn, "transfer to unknown label %s", pendingLabel)
+		case goTo:
+			if target < 0 {
+				return 0, m.runtimeErr(fn.src, "transfer to unknown label %s", badLabel)
 			}
-			bi = nbi
-		case 2:
+			bi = int(target)
+		case ret:
 			return retVal, nil
 		default:
 			bi++ // fall through
@@ -333,57 +398,61 @@ func (m *machineState) call(fn *cfg.Func, args []int64) (int64, error) {
 	}
 }
 
-// doCall dispatches a Call instruction: intrinsic or user function.
-func (m *machineState) doCall(caller *cfg.Func, in *rtl.Inst, args []int64) (int64, error) {
-	if _, ok := Intrinsic(in.Sym); ok {
-		return m.intrinsic(caller, in.Sym, args)
+// load evaluates an operand as a value in the frame (regs, fp). Registers
+// and constants, most operands, are read inline.
+func (m *machineState) load(regs []int64, fp int64, o *operand) int64 {
+	switch o.kind {
+	case oReg:
+		return regs[o.r]
+	case oImm:
+		return o.v
 	}
-	callee := m.prog.Func(in.Sym)
-	if callee == nil {
-		return 0, m.runtimeErr(caller, "call of unknown function %q", in.Sym)
-	}
-	return m.call(callee, args)
+	return m.loadMem(regs, fp, o)
 }
 
-// load evaluates an operand as a value.
-func (m *machineState) load(fr *frame, o rtl.Operand) int64 {
-	switch o.Kind {
-	case rtl.OReg:
-		return fr.regs[o.Reg]
-	case rtl.OImm:
-		return o.Val
-	case rtl.OLocal:
-		return m.mem[fr.fp+o.Val]
-	case rtl.OGlobal:
-		return m.mem[m.gaddr[o.Sym]+o.Val]
-	case rtl.OMem:
-		a := fr.regs[o.Reg] + o.Val
-		if o.Index != rtl.RegNone {
-			a += fr.regs[o.Index] * o.Scale
-		}
-		return m.mem[a]
-	case rtl.OAddrLocal:
-		return fr.fp + o.Val
-	case rtl.OAddrGlobal:
-		return m.gaddr[o.Sym] + o.Val
+// loadMem evaluates the operand kinds load does not read inline.
+func (m *machineState) loadMem(regs []int64, fp int64, o *operand) int64 {
+	switch o.kind {
+	case oLocal:
+		return m.read(fp + o.v)
+	case oAbs:
+		return m.read(o.v)
+	case oMem:
+		return m.read(effAddr(regs, o))
+	case oAddrLocal:
+		return fp + o.v
 	}
 	return 0
 }
 
-// store writes a value through a destination operand.
-func (m *machineState) store(fr *frame, o rtl.Operand, v int64) {
-	switch o.Kind {
-	case rtl.OReg:
-		fr.regs[o.Reg] = v
-	case rtl.OLocal:
-		m.mem[fr.fp+o.Val] = v
-	case rtl.OGlobal:
-		m.mem[m.gaddr[o.Sym]+o.Val] = v
-	case rtl.OMem:
-		a := fr.regs[o.Reg] + o.Val
-		if o.Index != rtl.RegNone {
-			a += fr.regs[o.Index] * o.Scale
-		}
-		m.mem[a] = v
+// store writes a value through a destination operand; operands that name
+// no location (none, constants, addresses) ignore it. A register is
+// written inline.
+func (m *machineState) store(regs []int64, fp int64, o *operand, v int64) {
+	if o.kind == oReg {
+		regs[o.r] = v
+		return
 	}
+	m.storeMem(regs, fp, o, v)
+}
+
+// storeMem writes through the operand kinds store does not write inline.
+func (m *machineState) storeMem(regs []int64, fp int64, o *operand, v int64) {
+	switch o.kind {
+	case oLocal:
+		m.write(fp+o.v, v)
+	case oAbs:
+		m.write(o.v, v)
+	case oMem:
+		m.write(effAddr(regs, o), v)
+	}
+}
+
+// effAddr is an oMem operand's cell address.
+func effAddr(regs []int64, o *operand) int64 {
+	a := regs[o.r] + o.v
+	if o.x >= 0 {
+		a += regs[o.x] * o.scale
+	}
+	return a
 }
