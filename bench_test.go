@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cache"
+	"repro/internal/difftest"
 	"repro/internal/ease"
 	"repro/internal/machine"
 	"repro/internal/mcc"
@@ -339,11 +340,20 @@ func BenchmarkCompileSuite(b *testing.B) {
 }
 
 // BenchmarkStressCompile compiles the synthetic stress function — one
-// large goto state machine (difftest.GenerateStress via bench) whose flow
-// graph has thousands of blocks — at the JUMPS level: the `stress` section
-// of BENCH_baseline.json.
+// large goto state machine (difftest.GenerateStress(300)) whose flow graph
+// has thousands of blocks — at the JUMPS level with the stock replication
+// ceiling. It is a profiling target; TestOracleBeatsMatrix in
+// internal/replicate holds the path oracle's lead on the same shape.
 func BenchmarkStressCompile(b *testing.B) {
-	bench.StressCompileBench(bench.DefaultStressStates)(b)
+	src := difftest.GenerateStress(300)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		prog, err := mcc.Compile(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pipeline.Optimize(prog, pipeline.Config{Machine: machine.M68020, Level: pipeline.Jumps})
+	}
 }
 
 // BenchmarkVM measures interpreter throughput (instructions/op reported).

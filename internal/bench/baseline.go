@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/cfg"
-	"repro/internal/difftest"
 	"repro/internal/encode"
 	"repro/internal/machine"
 	"repro/internal/mcc"
@@ -18,37 +17,23 @@ import (
 // BaselineSchema is the schema version written into BENCH_baseline.json;
 // bump it when the shape of Baseline changes incompatibly. Schema 2 added
 // the Encoded section (per machine×level suite code bytes and jump forms);
-// schema 3 added the Floors section (per-level throughput and allocation
-// acceptance bounds enforced by the CI perf gate) and made the suite's
-// allocation measurements mandatory; schema 4 added the DUPS level — the
-// suite, encoded and floors sections grew from three levels to four (12
-// encoded cells), so older files fail the per-level completeness checks;
-// schema 5 dropped the Floyd–Warshall path engine's stress row and the
-// matrix/oracle stress_speedup, since that engine became a test-only
-// reference.
-const BaselineSchema = 5
-
-// Floor-derivation factors: the committed floor admits throughput down to
-// FloorThroughputFactor of the measured value and allocation counts up to
-// FloorAllocFactor of it. The wide throughput band absorbs hardware and
-// load variance between the machine that measured the baseline and the CI
-// runner; allocation counts are near-deterministic, so their band is tight.
-const (
-	FloorThroughputFactor = 0.40
-	FloorAllocFactor      = 1.15
-)
-
-// DefaultStressStates is the standard size of the synthetic stress
-// function (difftest.GenerateStress) used by the committed baseline: about
-// 1700 blocks before replication, large enough that the all-pairs step 1
-// the oracle avoids would dominate the compile.
-const DefaultStressStates = 300
+// schema 3 added a floors section (per-level acceptance bounds for the CI
+// perf gate) and made the suite's allocation measurements mandatory;
+// schema 4 added the DUPS level — the suite and encoded sections grew from
+// three levels to four (12 encoded cells), so older files fail the
+// per-level completeness checks; schema 5 dropped the Floyd–Warshall path
+// engine's stress row, since that engine became a test-only reference;
+// schema 6 dropped the floors, which only restated the suite rows (Gate
+// derives its band from them), and the last stress row, which nothing
+// read.
+const BaselineSchema = 6
 
 // Baseline is the machine-readable performance baseline committed as
 // BENCH_baseline.json. Regenerate it with `go run ./cmd/bench` (see
-// docs/PERFORMANCE.md); CI only validates that the committed file parses
-// and is self-consistent, so numbers from different hardware never fail a
-// build.
+// docs/PERFORMANCE.md). Each section has one enforcer: the CI perf gate
+// re-measures the suite and holds it to Gate's band, and
+// TestEncodedMatchesBaseline requires a fresh encoded layout to equal the
+// committed one exactly.
 type Baseline struct {
 	// Schema identifies the file format (BaselineSchema).
 	Schema int `json:"schema"`
@@ -57,48 +42,12 @@ type Baseline struct {
 	// Suite holds one entry per pipeline level: the full Table-3 program
 	// suite compiled front-to-back at that level.
 	Suite []SuiteResult `json:"suite"`
-	// Stress holds one entry: the synthetic stress function compiled at
-	// the stock 20000-RTL replication ceiling. It stays a list so that
-	// history records from before schema 5, which carried one entry per
-	// path engine, still load.
-	Stress []StressResult `json:"stress"`
 	// Encoded holds the encoded code size of the whole Table-3 suite for
 	// every machine × level cell, with the displacement fixpoint's jump
-	// form split. Unlike the timing sections these numbers are
-	// deterministic (pure layout, no clocks), so CI can compare them
+	// form split. Unlike the suite timings these numbers are
+	// deterministic (pure layout, no clocks), so they are compared
 	// exactly.
 	Encoded []EncodedResult `json:"encoded"`
-	// Floors holds the perf-gate acceptance bounds per pipeline level,
-	// derived from the committed suite measurements (DeriveFloors). CI
-	// re-measures the suite and fails the build when a level's throughput
-	// drops below MinRTLsPerSec or its allocation count rises above
-	// MaxAllocsPerOp (cmd/bench -gate).
-	Floors []Floor `json:"floors"`
-}
-
-// Floor is one level's perf-gate acceptance bound.
-type Floor struct {
-	// Level is the pipeline level name ("SIMPLE", "LOOPS", "JUMPS",
-	// "DUPS").
-	Level string `json:"level"`
-	// MinRTLsPerSec is the lowest acceptable suite compile throughput.
-	MinRTLsPerSec float64 `json:"min_rtls_per_sec"`
-	// MaxAllocsPerOp is the highest acceptable allocation count per suite
-	// compile.
-	MaxAllocsPerOp int64 `json:"max_allocs_per_op"`
-}
-
-// DeriveFloors computes the perf-gate bounds from measured suite results.
-func DeriveFloors(suite []SuiteResult) []Floor {
-	floors := make([]Floor, 0, len(suite))
-	for _, s := range suite {
-		floors = append(floors, Floor{
-			Level:          s.Level,
-			MinRTLsPerSec:  s.RTLsPerSec * FloorThroughputFactor,
-			MaxAllocsPerOp: int64(float64(s.AllocsPerOp) * FloorAllocFactor),
-		})
-	}
-	return floors
 }
 
 // EncodedResult reports the encoded layout of the whole Table-3 suite on
@@ -130,18 +79,6 @@ type SuiteResult struct {
 	// optimizer per suite compile, summed over all programs and functions.
 	RTLs int64 `json:"rtls"`
 	// RTLsPerSec is compile throughput: RTLs / (NsPerOp in seconds).
-	RTLsPerSec float64 `json:"rtls_per_sec"`
-}
-
-// StressResult reports compiling the synthetic stress function.
-type StressResult struct {
-	// States is the difftest.GenerateStress size used.
-	States int `json:"states"`
-	// RTLs is the function's RTL count entering the optimizer.
-	RTLs int64 `json:"rtls"`
-	// NsPerOp is the wall time per stress compile.
-	NsPerOp int64 `json:"ns_per_op"`
-	// RTLsPerSec is input-RTL throughput of the whole pipeline compile.
 	RTLsPerSec float64 `json:"rtls_per_sec"`
 }
 
@@ -187,29 +124,6 @@ func CompileSuiteBench(m *machine.Machine, lv pipeline.Level) func(b *testing.B)
 	}
 }
 
-// StressSource returns the mini-C source of the standard stress shape at
-// the given size (difftest.GenerateStress re-exported so cmd/bench and the
-// root benchmarks agree on the exact program).
-func StressSource(states int) string { return difftest.GenerateStress(states) }
-
-// StressCompileBench returns a benchmark function that compiles the
-// synthetic stress function at the JUMPS level with the stock 20000-RTL
-// replication ceiling. Shared by the root `go test -bench` macro
-// benchmarks and cmd/bench.
-func StressCompileBench(states int) func(b *testing.B) {
-	src := StressSource(states)
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			prog, err := mcc.Compile(src)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pipeline.Optimize(prog, pipeline.Config{Machine: machine.M68020, Level: pipeline.Jumps})
-		}
-	}
-}
-
 // MeasureEncoded lays out the whole Table-3 suite on every registered
 // machine at every level and returns the per-cell encoded sizes in
 // canonical (machine × level) order. Deterministic: same sources, same
@@ -239,50 +153,27 @@ func MeasureEncoded() ([]EncodedResult, error) {
 }
 
 // RunBaseline measures the full baseline: the Table-3 suite compile at
-// every pipeline level plus the stress compile.
-// states sizes the stress function (0 = DefaultStressStates). Progress
-// lines go to progress when non-nil (the runs take tens of seconds).
-func RunBaseline(states int, progress io.Writer) (*Baseline, error) {
-	if states == 0 {
-		states = DefaultStressStates
-	}
-	logf := func(format string, args ...interface{}) {
-		if progress != nil {
-			fmt.Fprintf(progress, format+"\n", args...)
-		}
-	}
+// every pipeline level plus the encoded layout of every machine × level
+// cell. Progress lines go to progress when non-nil (the runs take tens of
+// seconds).
+func RunBaseline(progress io.Writer) (*Baseline, error) {
 	bl := &Baseline{Schema: BaselineSchema, Machine: machine.M68020.Name}
 	var err error
 	if bl.Suite, err = RunSuite(progress); err != nil {
 		return nil, err
 	}
-
-	stressProg, err := mcc.Compile(StressSource(states))
-	if err != nil {
-		return nil, fmt.Errorf("bench: compile stress: %w", err)
+	if progress != nil {
+		fmt.Fprintf(progress, "encoded layout of the suite on %d machines...\n", len(machine.All()))
 	}
-	stressRTLs := progRTLs(stressProg)
-	logf("stress compile (%d states, %d RTLs)...", states, stressRTLs)
-	ns := testing.Benchmark(StressCompileBench(states)).NsPerOp()
-	bl.Stress = []StressResult{{
-		States:     states,
-		RTLs:       stressRTLs,
-		NsPerOp:    ns,
-		RTLsPerSec: float64(stressRTLs) * 1e9 / float64(ns),
-	}}
-
-	logf("encoded layout of the suite on %d machines...", len(machine.All()))
-	bl.Encoded, err = MeasureEncoded()
-	if err != nil {
+	if bl.Encoded, err = MeasureEncoded(); err != nil {
 		return nil, err
 	}
-	bl.Floors = DeriveFloors(bl.Suite)
 	return bl, nil
 }
 
 // RunSuite measures only the Table-3 suite compile benchmarks (the part of
-// the baseline the perf gate compares): much faster than RunBaseline since
-// the stress compiles and the 12-cell encoded layout are skipped.
+// the baseline the perf gate compares): faster than RunBaseline since the
+// 12-cell encoded layout is skipped.
 func RunSuite(progress io.Writer) ([]SuiteResult, error) {
 	suiteRTLs, err := SuiteRTLs()
 	if err != nil {
@@ -334,9 +225,8 @@ func LoadBaseline(path string) (*Baseline, error) {
 
 // Validate checks the baseline's structural invariants: known schema, one
 // suite entry per pipeline level with every measurement populated
-// (including the allocation columns the perf gate relies on), one stress
-// entry, the full encoded grid, and self-consistent floors — the committed
-// measurements must satisfy their own bounds.
+// (including the allocation columns the perf gate relies on), and the full
+// encoded grid.
 func (bl *Baseline) Validate() error {
 	if bl.Schema != BaselineSchema {
 		return fmt.Errorf("schema %d, want %d", bl.Schema, BaselineSchema)
@@ -344,7 +234,7 @@ func (bl *Baseline) Validate() error {
 	if bl.Machine == "" {
 		return fmt.Errorf("missing machine name")
 	}
-	levels := map[string]SuiteResult{}
+	levels := map[string]bool{}
 	for _, s := range bl.Suite {
 		if s.NsPerOp <= 0 || s.RTLs <= 0 || s.RTLsPerSec <= 0 {
 			return fmt.Errorf("suite level %q: non-positive measurement", s.Level)
@@ -352,37 +242,12 @@ func (bl *Baseline) Validate() error {
 		if s.AllocsPerOp <= 0 || s.BytesPerOp <= 0 {
 			return fmt.Errorf("suite level %q: missing allocation measurements", s.Level)
 		}
-		levels[s.Level] = s
+		levels[s.Level] = true
 	}
 	for _, lv := range pipeline.AllLevels() {
-		if _, ok := levels[lv.String()]; !ok {
+		if !levels[lv.String()] {
 			return fmt.Errorf("suite is missing level %s", lv)
 		}
-	}
-	floors := map[string]bool{}
-	for _, fl := range bl.Floors {
-		s, ok := levels[fl.Level]
-		if !ok {
-			return fmt.Errorf("floor for unknown level %q", fl.Level)
-		}
-		if fl.MinRTLsPerSec <= 0 || fl.MaxAllocsPerOp <= 0 {
-			return fmt.Errorf("floor %s: non-positive bound", fl.Level)
-		}
-		if s.RTLsPerSec < fl.MinRTLsPerSec || s.AllocsPerOp > fl.MaxAllocsPerOp {
-			return fmt.Errorf("floor %s: committed measurement violates its own bound", fl.Level)
-		}
-		floors[fl.Level] = true
-	}
-	for _, lv := range pipeline.AllLevels() {
-		if !floors[lv.String()] {
-			return fmt.Errorf("floors section is missing level %s", lv)
-		}
-	}
-	if len(bl.Stress) != 1 {
-		return fmt.Errorf("stress section has %d entries, want 1", len(bl.Stress))
-	}
-	if s := bl.Stress[0]; s.NsPerOp <= 0 || s.RTLs <= 0 || s.States <= 0 {
-		return fmt.Errorf("stress: non-positive measurement")
 	}
 	cells := map[string]EncodedResult{}
 	for _, e := range bl.Encoded {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"repro/internal/difftest"
 	"repro/internal/machine"
 	"repro/internal/mcc"
 	"repro/internal/pipeline"
@@ -23,14 +25,7 @@ func testBaseline() *Baseline {
 			{Level: "JUMPS", NsPerOp: 120, AllocsPerOp: 5, BytesPerOp: 50, RTLs: 1000, RTLsPerSec: 8e9},
 			{Level: "DUPS", NsPerOp: 125, AllocsPerOp: 5, BytesPerOp: 50, RTLs: 1000, RTLsPerSec: 7e9},
 		},
-		Stress:  []StressResult{{States: 300, RTLs: 4000, NsPerOp: 1000, RTLsPerSec: 4e9}},
 		Encoded: testEncoded(),
-		Floors: []Floor{
-			{Level: "SIMPLE", MinRTLsPerSec: 4e9, MaxAllocsPerOp: 6},
-			{Level: "LOOPS", MinRTLsPerSec: 3.6e9, MaxAllocsPerOp: 6},
-			{Level: "JUMPS", MinRTLsPerSec: 3.2e9, MaxAllocsPerOp: 6},
-			{Level: "DUPS", MinRTLsPerSec: 2.8e9, MaxAllocsPerOp: 6},
-		},
 	}
 }
 
@@ -67,7 +62,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Stress[0] != bl.Stress[0] || len(got.Suite) != 4 || len(got.Stress) != 1 {
+	if !reflect.DeepEqual(got, bl) {
 		t.Fatalf("round trip lost data: %+v", got)
 	}
 }
@@ -78,9 +73,6 @@ func TestBaselineValidateRejects(t *testing.T) {
 		"no machine":      func(b *Baseline) { b.Machine = "" },
 		"missing level":   func(b *Baseline) { b.Suite = b.Suite[:2] },
 		"zero ns":         func(b *Baseline) { b.Suite[0].NsPerOp = 0 },
-		"no stress":       func(b *Baseline) { b.Stress = nil },
-		"two stress rows": func(b *Baseline) { b.Stress = append(b.Stress, b.Stress[0]) },
-		"zero states":     func(b *Baseline) { b.Stress[0].States = 0 },
 		"negative rtls/s": func(b *Baseline) { b.Suite[1].RTLsPerSec = -1 },
 		"no encoded":      func(b *Baseline) { b.Encoded = nil },
 		"missing cell":    func(b *Baseline) { b.Encoded = b.Encoded[1:] },
@@ -90,14 +82,8 @@ func TestBaselineValidateRejects(t *testing.T) {
 				b.Encoded[i].ShortJumps, b.Encoded[i].NearJumps = 0, 0
 			}
 		},
-		"zero allocs":        func(b *Baseline) { b.Suite[0].AllocsPerOp = 0 },
-		"zero bytes":         func(b *Baseline) { b.Suite[2].BytesPerOp = 0 },
-		"no floors":          func(b *Baseline) { b.Floors = nil },
-		"missing floor":      func(b *Baseline) { b.Floors = b.Floors[1:] },
-		"zero floor":         func(b *Baseline) { b.Floors[0].MinRTLsPerSec = 0 },
-		"unknown floor":      func(b *Baseline) { b.Floors[0].Level = "TURBO" },
-		"inconsistent floor": func(b *Baseline) { b.Floors[1].MinRTLsPerSec = 1e12 },
-		"alloc floor broken": func(b *Baseline) { b.Floors[2].MaxAllocsPerOp = 1 },
+		"zero allocs": func(b *Baseline) { b.Suite[0].AllocsPerOp = 0 },
+		"zero bytes":  func(b *Baseline) { b.Suite[2].BytesPerOp = 0 },
 	}
 	for name, mutate := range cases {
 		bl := testBaseline()
@@ -125,7 +111,7 @@ func TestLoadBaselineErrors(t *testing.T) {
 // within the mini-C subset and produce the single-large-function shape the
 // step-1 benchmarks rely on, and checks the suite RTL counter is sane.
 func TestStressSourceCompiles(t *testing.T) {
-	prog, err := mcc.Compile(StressSource(40))
+	prog, err := mcc.Compile(difftest.GenerateStress(40))
 	if err != nil {
 		t.Fatalf("stress source no longer compiles: %v", err)
 	}
@@ -141,5 +127,29 @@ func TestStressSourceCompiles(t *testing.T) {
 	}
 	if rtls <= 0 {
 		t.Fatal("empty suite")
+	}
+}
+
+// TestEncodedMatchesBaseline is the encoded section's enforcer: a fresh
+// layout of the Table-3 suite must reproduce the committed
+// BENCH_baseline.json cell for cell. The section is pure layout, with no
+// clock in it, so a mismatch means the encoder or the pipeline changed;
+// when that is intended, regenerate the file with cmd/bench.
+func TestEncodedMatchesBaseline(t *testing.T) {
+	bl, err := LoadBaseline(filepath.Join("..", "..", "BENCH_baseline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := MeasureEncoded()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bl.Encoded) != len(got) {
+		t.Fatalf("committed encoded section has %d cells, a fresh layout %d", len(bl.Encoded), len(got))
+	}
+	for i := range got {
+		if got[i] != bl.Encoded[i] {
+			t.Fatalf("encoded cell %s/%s: fresh %+v, committed %+v", got[i].Machine, got[i].Level, got[i], bl.Encoded[i])
+		}
 	}
 }

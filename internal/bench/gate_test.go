@@ -7,6 +7,21 @@ import (
 	"testing"
 )
 
+// fakeBaseline builds a structurally valid baseline without measuring.
+// Its allocation count is a multiple of 16, so the gate's 1.4375 cap is
+// exact.
+func fakeBaseline(ns int64) *Baseline {
+	bl := &Baseline{Schema: BaselineSchema, Machine: "68020"}
+	for _, lv := range []string{"SIMPLE", "LOOPS", "JUMPS", "DUPS"} {
+		bl.Suite = append(bl.Suite, SuiteResult{
+			Level: lv, NsPerOp: ns, AllocsPerOp: 1600, BytesPerOp: 1,
+			RTLs: 1000, RTLsPerSec: float64(1000) * 1e9 / float64(ns),
+		})
+	}
+	bl.Encoded = testEncoded()
+	return bl
+}
+
 // gateFixture returns a committed baseline and a fresh measurement that
 // exactly matches it.
 func gateFixture() (*Baseline, []SuiteResult) {
@@ -17,7 +32,7 @@ func gateFixture() (*Baseline, []SuiteResult) {
 
 func TestGatePasses(t *testing.T) {
 	bl, fresh := gateFixture()
-	rows, err := bl.Gate(fresh, 0)
+	rows, err := bl.Gate(fresh)
 	if err != nil {
 		t.Fatalf("identical measurements failed the gate: %v", err)
 	}
@@ -33,9 +48,9 @@ func TestGatePasses(t *testing.T) {
 
 func TestGateCatchesThroughputRegression(t *testing.T) {
 	bl, fresh := gateFixture()
-	// Drop LOOPS throughput below the 40% floor.
-	fresh[1].RTLsPerSec = bl.Suite[1].RTLsPerSec * FloorThroughputFactor * 0.5
-	rows, err := bl.Gate(fresh, 0)
+	// Drop LOOPS throughput to half the band's floor.
+	fresh[1].RTLsPerSec = bl.Suite[1].RTLsPerSec * gateThroughputFactor * 0.5
+	rows, err := bl.Gate(fresh)
 	if err == nil {
 		t.Fatal("halved throughput passed the gate")
 	}
@@ -53,30 +68,43 @@ func TestGateCatchesThroughputRegression(t *testing.T) {
 
 func TestGateCatchesAllocRegression(t *testing.T) {
 	bl, fresh := gateFixture()
-	fresh[2].AllocsPerOp = bl.Floors[2].MaxAllocsPerOp * 2
-	if _, err := bl.Gate(fresh, 0); err == nil {
+	fresh[2].AllocsPerOp = bl.Suite[2].AllocsPerOp * 2
+	if _, err := bl.Gate(fresh); err == nil {
 		t.Fatal("doubled allocations passed the gate")
 	}
 }
 
+// TestGateToleranceBand pins the band's edges: a fresh row exactly at
+// 0.30× the committed throughput and 1.4375× its allocations passes, and
+// one 1% beyond either bound fails.
 func TestGateToleranceBand(t *testing.T) {
 	bl, fresh := gateFixture()
-	// 5% below the floor: fails at tol 0, passes at tol 0.10.
-	fresh[0].RTLsPerSec = bl.Floors[0].MinRTLsPerSec * 0.95
-	if _, err := bl.Gate(fresh, 0); err == nil {
-		t.Fatal("sub-floor throughput passed without tolerance")
+	base := bl.Suite[0]
+	fresh[0].RTLsPerSec = base.RTLsPerSec * 0.30
+	fresh[0].AllocsPerOp = base.AllocsPerOp * 23 / 16 // 1.4375×
+	rows, err := bl.Gate(fresh)
+	if err != nil {
+		t.Fatalf("a row on both edges failed: %v", err)
 	}
-	if _, err := bl.Gate(fresh, 0.10); err != nil {
-		t.Fatalf("10%% tolerance did not absorb a 5%% dip: %v", err)
+	if rows[0].MinRTLsPerSec != base.RTLsPerSec*0.30 || rows[0].MaxAllocsPerOp != 2300 {
+		t.Errorf("band = [%v, %d], want [%v, 2300]", rows[0].MinRTLsPerSec, rows[0].MaxAllocsPerOp, base.RTLsPerSec*0.30)
 	}
-	if _, err := bl.Gate(fresh, -1); err == nil {
-		t.Fatal("negative tolerance accepted")
+
+	slow := append([]SuiteResult(nil), fresh...)
+	slow[0].RTLsPerSec *= 0.99
+	if rows, err := bl.Gate(slow); err == nil || rows[0].ThroughputOK || !rows[0].AllocsOK {
+		t.Fatalf("throughput 1%% under the floor passed: %+v", rows[0])
+	}
+	heavy := append([]SuiteResult(nil), fresh...)
+	heavy[0].AllocsPerOp = heavy[0].AllocsPerOp * 101 / 100
+	if rows, err := bl.Gate(heavy); err == nil || rows[0].AllocsOK || !rows[0].ThroughputOK {
+		t.Fatalf("allocations 1%% over the cap passed: %+v", rows[0])
 	}
 }
 
 func TestGateMissingLevel(t *testing.T) {
 	bl, fresh := gateFixture()
-	if _, err := bl.Gate(fresh[:3], 0); err == nil {
+	if _, err := bl.Gate(fresh[:3]); err == nil {
 		t.Fatal("gate accepted measurements missing a level")
 	}
 }
@@ -84,13 +112,13 @@ func TestGateMissingLevel(t *testing.T) {
 func TestWriteGateSummary(t *testing.T) {
 	bl, fresh := gateFixture()
 	fresh[1].RTLsPerSec = 1 // force one failing row
-	rows, _ := bl.Gate(fresh, 0.05)
+	rows, _ := bl.Gate(fresh)
 	var sb strings.Builder
-	if err := WriteGateSummary(&sb, rows, 0.05); err != nil {
+	if err := WriteGateSummary(&sb, rows); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"### Perf gate", "| Level |", "| SIMPLE |", "| LOOPS |", "| JUMPS |", "| DUPS |", "✅", "❌", "5%"} {
+	for _, want := range []string{"### Perf gate", "| Level |", "| SIMPLE |", "| LOOPS |", "| JUMPS |", "| DUPS |", "✅", "❌"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary misses %q:\n%s", want, out)
 		}

@@ -353,14 +353,11 @@ func residualReplicableJump(prog *cfg.Program, opts replicate.Options) string {
 }
 
 // capped reports whether f is close enough to a replication growth cap
-// that leftover jumps are expected rather than a bug.
+// that leftover jumps are expected rather than a bug. opts comes from
+// Options.replication, so its MaxFuncRTLs is already resolved.
 func capped(f *cfg.Func, opts replicate.Options) bool {
-	max := opts.MaxFuncRTLs
-	if max == 0 {
-		max = 20000
-	}
 	// Within 25% of the RTL budget the pipeline may stop replicating.
-	return f.NumRTLs()*4 >= max*3
+	return f.NumRTLs()*4 >= opts.MaxFuncRTLs*3
 }
 
 // countJumps counts static unconditional direct jumps.

@@ -13,8 +13,9 @@ import (
 // program of S states compiles to a flow graph of roughly 2S blocks with S
 // unconditional jumps: exactly the access pattern where the paper's
 // all-pairs matrix pays O(V³) per sweep for a handful of single-source
-// queries. The benchmark suite compiles it at the stock 20000-RTL
-// replication ceiling with both path engines (see BENCH_baseline.json).
+// queries. BenchmarkStressCompile (repository root) compiles 300 states
+// at the stock 20000-RTL replication ceiling, and TestOracleBeatsMatrix
+// (internal/replicate) times both path engines on 100.
 //
 // Unlike Generate the program is a fixed function of states, not seeded:
 // baseline numbers stay comparable across runs and machines. Like every

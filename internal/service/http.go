@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -86,12 +87,29 @@ func writeError(w http.ResponseWriter, err error) {
 	}
 }
 
+// maxBodyBytes bounds a request body. The largest legitimate sources are
+// far below it: a Table-3 program is at most 3,418 bytes and the 300-state
+// stress program (difftest.GenerateStress) 36,754.
+const maxBodyBytes = 1 << 20
+
 // decodeBody parses a JSON request body strictly (unknown fields are an
-// error, so typos in field names fail loudly).
+// error, so typos in field names fail loudly). A body longer than
+// maxBodyBytes is refused with 413, wherever its excess sits.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		_, err = io.Copy(io.Discard, body)
+	}
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			errorBody{"request body exceeds " + strconv.FormatInt(tooBig.Limit, 10) + " bytes"})
+		return false
+	case err != nil:
 		writeJSON(w, http.StatusBadRequest, errorBody{"bad request body: " + err.Error()})
 		return false
 	}

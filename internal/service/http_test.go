@@ -37,7 +37,14 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(b))
+	return postRaw(t, url, b)
+}
+
+// postRaw posts body as it is; postJSON would compact an oversized body's
+// padding away.
+func postRaw(t *testing.T, url string, body []byte) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST %s: %v", url, err)
 	}
@@ -47,6 +54,22 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 		t.Fatalf("read body: %v", err)
 	}
 	return resp, data
+}
+
+// postOversized posts body with spaces inserted at offset at, one byte
+// over maxBodyBytes in all, and requires a 413 with an error envelope from
+// a daemon that keeps serving.
+func postOversized(t *testing.T, srv *httptest.Server, path, body string, at int) {
+	t.Helper()
+	padded := body[:at] + strings.Repeat(" ", maxBodyBytes+1-len(body)) + body[at:]
+	resp, data := postRaw(t, srv.URL+path, []byte(padded))
+	var eb errorBody
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || json.Unmarshal(data, &eb) != nil || eb.Error == "" {
+		t.Errorf("%s with a %d-byte body: status %d, body %.200s", path, len(padded), resp.StatusCode, data)
+	}
+	if resp, _ := getBody(t, srv.URL+"/healthz"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after an oversized %s = %d", path, resp.StatusCode)
+	}
 }
 
 func getBody(t *testing.T, url string) (*http.Response, []byte) {
@@ -152,6 +175,10 @@ func TestCompileErrors(t *testing.T) {
 			t.Errorf("%s: no error envelope in %s", tc.name, data)
 		}
 	}
+	// The excess sits after the JSON value, where the decoder alone would
+	// not read it.
+	small := `{"source":"int main() { return 0; }"}`
+	postOversized(t, srv, "/compile", small, len(small))
 	// Wrong method on a known path.
 	resp, _ := getBody(t, srv.URL+"/compile")
 	if resp.StatusCode != http.StatusMethodNotAllowed {
@@ -214,6 +241,7 @@ func TestMeasureValidation(t *testing.T) {
 			t.Errorf("%s: status = %d, want 422 (body %s)", tc.name, resp.StatusCode, data)
 		}
 	}
+	postOversized(t, srv, "/measure", `{"program":"queens"}`, 1)
 }
 
 func TestGridJobLifecycle(t *testing.T) {
@@ -296,6 +324,7 @@ func TestGridValidation(t *testing.T) {
 	if resp, _ := getBody(t, srv.URL+"/healthz"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz after bad grids = %d", resp.StatusCode)
 	}
+	postOversized(t, srv, "/grid", `{"programs":["queens"]}`, 1)
 	// The smallest and largest sizes are accepted.
 	resp, body := postJSON(t, srv.URL+"/grid", GridRequest{Programs: []string{"queens"}, Caches: true, CacheSizes: []int64{16, 1 << 20}})
 	if resp.StatusCode != http.StatusAccepted {
