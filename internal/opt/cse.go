@@ -225,10 +225,10 @@ func (s *vnState) invalidateMemory() {
 }
 
 // substSrc rewrites one source operand using known constants, copies and
-// loaded values, keeping the instruction legal for the machine. check runs
-// machine legality on the whole instruction after a tentative rewrite.
-func (s *vnState) substSrc(in *rtl.Inst, o *rtl.Operand) bool {
-	changed := false
+// loaded values, keeping the instruction legal for the machine: each
+// tentative rewrite is undone unless the machine accepts the whole
+// instruction.
+func (s *vnState) substSrc(in *rtl.Inst, o *rtl.Operand) {
 	try := func(repl rtl.Operand) bool {
 		old := *o
 		*o = repl
@@ -242,10 +242,10 @@ func (s *vnState) substSrc(in *rtl.Inst, o *rtl.Operand) bool {
 	case rtl.OReg:
 		r := s.resolve(o.Reg)
 		if v, ok := s.constOf[r]; ok && try(rtl.Imm(v)) {
-			return true
+			return
 		}
-		if r != o.Reg && try(rtl.R(r)) {
-			changed = true
+		if r != o.Reg {
+			try(rtl.R(r))
 		}
 	case rtl.OMem:
 		// Canonicalize base/index through copies first.
@@ -254,24 +254,29 @@ func (s *vnState) substSrc(in *rtl.Inst, o *rtl.Operand) bool {
 		if no.Index != rtl.RegNone {
 			no.Index = s.resolve(no.Index)
 		}
-		if !no.Equal(*o) && try(no) {
-			changed = true
+		if !no.Equal(*o) {
+			try(no)
 		}
 		fallthrough
 	case rtl.OLocal, rtl.OGlobal:
-		if r, ok := s.memVal[opKey(*o)]; ok && try(rtl.R(r)) {
-			return true
+		if r, ok := s.memVal[opKey(*o)]; ok {
+			try(rtl.R(r))
 		}
 	}
-	return changed
 }
 
 // CommonSubexpressions performs value numbering with constant and copy
 // propagation and store-to-load forwarding, over extended basic blocks: a
 // block with exactly one predecessor inherits that predecessor's exit
 // state, so availability flows down branch fans without a full dataflow
-// framework. Machine legality is preserved. Reports whether anything
-// changed.
+// framework. Machine legality is preserved.
+//
+// Reports whether some instruction ends up different from what it was when
+// CSE reached it. The rewrites below can cancel out — a copy `d = r` of a
+// register known to hold #0 becomes `d = #0` by constant substitution and
+// then `d = r` again by materialized-constant reuse — and counting each step
+// would keep Figure 3's do-while loop running on unchanged code until its
+// iteration cap.
 func CommonSubexpressions(f *cfg.Func, m *machine.Machine) bool {
 	changed := false
 	e := cfg.ComputeEdges(f)
@@ -290,30 +295,28 @@ func CommonSubexpressions(f *cfg.Func, m *machine.Machine) bool {
 		}
 		for ii := range b.Insts {
 			in := &b.Insts[ii]
+			// The rewrites replace in wholesale and never write its jump
+			// table, so this shallow copy stays a faithful record.
+			reached := *in
 			// Substitute into sources.
 			switch in.Kind {
 			case rtl.Move, rtl.Bin, rtl.Un, rtl.Cmp, rtl.Arg, rtl.Ret, rtl.IJmp:
 				for _, o := range in.SrcOperands() {
-					if s.substSrc(in, o) {
-						changed = true
-					}
+					s.substSrc(in, o)
 				}
 			}
 			// Fold if fully constant now.
 			if in.Kind == rtl.Bin && in.Src.Kind == rtl.OImm && in.Src2.Kind == rtl.OImm {
 				*in = rtl.Inst{Kind: rtl.Move, Dst: in.Dst, Src: rtl.Imm(in.BOp.Eval(in.Src.Val, in.Src2.Val))}
-				changed = true
 			}
 			if in.Kind == rtl.Un && in.Src.Kind == rtl.OImm {
 				*in = rtl.Inst{Kind: rtl.Move, Dst: in.Dst, Src: rtl.Imm(in.UOp.Eval(in.Src.Val))}
-				changed = true
 			}
 			// Reuse an available expression.
 			if (in.Kind == rtl.Bin || in.Kind == rtl.Un) && in.Dst.Kind == rtl.OReg {
 				if key, ok := exprKey(in); ok {
 					if r, ok := s.exprOf[key]; ok && r != in.Dst.Reg {
 						*in = rtl.Inst{Kind: rtl.Move, Dst: in.Dst, Src: rtl.R(r)}
-						changed = true
 					}
 				}
 			}
@@ -324,8 +327,10 @@ func CommonSubexpressions(f *cfg.Func, m *machine.Machine) bool {
 				(in.Src.Kind == rtl.OAddrLocal || in.Src.Kind == rtl.OAddrGlobal || in.Src.Kind == rtl.OImm) {
 				if r, ok := s.exprOf[matKey(in.Src)]; ok && r != in.Dst.Reg {
 					*in = rtl.Inst{Kind: rtl.Move, Dst: in.Dst, Src: rtl.R(r)}
-					changed = true
 				}
+			}
+			if !in.Equal(&reached) {
+				changed = true
 			}
 			// Update state.
 			switch in.Kind {

@@ -243,6 +243,41 @@ func TestCSEConstAndCopyProp(t *testing.T) {
 	}
 }
 
+// TestCSECopyConstantRoundTrip pins CSE's fixpoint. With v252 known to
+// hold #0, constant substitution turns `v253 = v252` into `v253 = #0` and
+// materialized-constant reuse turns that back into `v253 = v252`: no
+// change, so a converged function must report none and stay byte-identical
+// (otherwise Figure 3's loop runs to its iteration cap).
+func TestCSECopyConstantRoundTrip(t *testing.T) {
+	for _, useCopy := range []bool{false, true} {
+		f := cfg.NewFunc("t", 0)
+		b := f.NewBlock()
+		b.Insts = []rtl.Inst{
+			{Kind: rtl.Move, Dst: rtl.R(v(252)), Src: rtl.Imm(0)},
+			{Kind: rtl.Move, Dst: rtl.R(v(253)), Src: rtl.R(v(252))},
+			{Kind: rtl.Ret, Src: rtl.None()},
+		}
+		if useCopy {
+			b.Insts[2].Src = rtl.R(v(253))
+			// The return value still changes (v253 becomes #0) in the
+			// first call.
+			if !CommonSubexpressions(f, machine.M68020) {
+				t.Fatalf("first call reported no change:\n%s", f)
+			}
+		}
+		before := f.String()
+		if CommonSubexpressions(f, machine.M68020) {
+			t.Errorf("useCopy=%t: CSE reported a change on converged code:\n%s", useCopy, before)
+		}
+		if after := f.String(); after != before {
+			t.Errorf("useCopy=%t: code changed:\n%s\nbecame\n%s", useCopy, before, after)
+		}
+		if in := b.Insts[1]; in.Src.Kind != rtl.OReg || in.Src.Reg != v(252) {
+			t.Errorf("useCopy=%t: copy became %v, want v253 = v252", useCopy, &in)
+		}
+	}
+}
+
 func TestCSEStoreLoadForwarding(t *testing.T) {
 	f := cfg.NewFunc("t", 0)
 	b := f.NewBlock()

@@ -236,11 +236,13 @@ func AllocateRegisters(f *cfg.Func, m *machine.Machine) {
 	// Conservative move coalescing (Briggs): merging copy-related,
 	// non-interfering registers deletes the copies outright and shortens
 	// the code the tables measure.
+	c := newCoalescer(f, m)
 	for i := 0; i < 200; i++ {
-		if !coalesceOne(f, m) {
+		if !c.coalesceOne() {
 			break
 		}
 	}
+	c.release()
 	// temps accumulates the short-range temporaries created by spilling;
 	// they are never chosen as spill victims again (re-spilling them makes
 	// no progress).
@@ -253,15 +255,56 @@ func AllocateRegisters(f *cfg.Func, m *machine.Machine) {
 	panic("opt: register allocation did not converge for " + f.Name)
 }
 
-// coalesceOne finds one coalescible register copy `a = b` — both virtual,
-// non-interfering, and safe by the Briggs criterion (the merged node has
-// fewer than K neighbours of significant degree, so coalescing cannot turn
-// a colourable graph uncolourable) — rewrites b to a everywhere and drops
-// the copy. Reports whether it coalesced anything.
-func coalesceOne(f *cfg.Func, m *machine.Machine) bool {
-	g := buildInterference(f)
-	k := m.NumRegs
-	for _, b := range f.Blocks {
+// coalescer performs conservative copy coalescing. It builds the flow
+// edges, the liveness and the interference adjacency once and keeps them
+// exact across merges. Merging src into dst renames src to dst and deletes
+// the copy `dst = src`; nothing else changes, so:
+//
+//   - the flow edges stand, since deleting a Move changes no terminator;
+//   - every other register keeps its liveness, since it gains or loses no
+//     use or definition;
+//   - an edge between two other registers stands, since it comes from a
+//     definition of one where the other is live, and both are unchanged.
+//
+// So a merge deletes src's node and recomputes dst's liveness and dst's
+// interference row alone (merge).
+type coalescer struct {
+	f   *cfg.Func
+	k   int
+	e   *cfg.Edges
+	lv  *Liveness
+	adj map[rtl.Reg]regSet
+	// Scratch for merge: per-block facts about the merged register, the
+	// instUses buffer and the row walk's live set.
+	kill, mention []bool
+	uses          []rtl.Reg
+	live          RegSet
+}
+
+func newCoalescer(f *cfg.Func, m *machine.Machine) *coalescer {
+	e := cfg.ComputeEdges(f)
+	lv := ComputeLiveness(f, e)
+	return &coalescer{
+		f: f, k: m.NumRegs, e: e, lv: lv,
+		adj:     interferenceOf(f, lv, nil).adj,
+		kill:    make([]bool, len(f.Blocks)),
+		mention: make([]bool, len(f.Blocks)),
+	}
+}
+
+// release returns the edges and liveness to the function's scratch arena.
+func (c *coalescer) release() {
+	c.lv.Release()
+	c.e.Release()
+}
+
+// coalesceOne finds the first coalescible register copy `a = b` in layout
+// order — both virtual, non-interfering, and safe by the Briggs criterion
+// (the merged node has fewer than K neighbours of significant degree, so
+// coalescing cannot turn a colourable graph uncolourable) — rewrites b to a
+// everywhere and drops the copy. Reports whether it coalesced anything.
+func (c *coalescer) coalesceOne() bool {
+	for _, b := range c.f.Blocks {
 		for ii := range b.Insts {
 			in := &b.Insts[ii]
 			if in.Kind != rtl.Move || in.Dst.Kind != rtl.OReg || in.Src.Kind != rtl.OReg {
@@ -271,32 +314,150 @@ func coalesceOne(f *cfg.Func, m *machine.Machine) bool {
 			if dst == src || !dst.IsVirtual() || !src.IsVirtual() {
 				continue
 			}
-			if g.adj[dst].has(src) {
+			if c.adj[dst].has(src) {
 				continue // live ranges overlap; the copy is load-bearing
 			}
 			// Briggs: count merged neighbours with degree >= K.
 			significant := 0
 			seen := regSet{}
-			for n := range g.adj[dst] {
-				if seen.add(n) && len(g.adj[n]) >= k {
+			for n := range c.adj[dst] {
+				if seen.add(n) && len(c.adj[n]) >= c.k {
 					significant++
 				}
 			}
-			for n := range g.adj[src] {
-				if seen.add(n) && len(g.adj[n]) >= k {
+			for n := range c.adj[src] {
+				if seen.add(n) && len(c.adj[n]) >= c.k {
 					significant++
 				}
 			}
-			if significant >= k {
+			if significant >= c.k {
 				continue
 			}
-			renameReg(f, src, dst)
+			renameReg(c.f, src, dst)
 			// The copy became `a = a`; delete it.
 			b.Insts = append(b.Insts[:ii], b.Insts[ii+1:]...)
+			c.merge(dst, src)
 			return true
 		}
 	}
 	return false
+}
+
+// merge brings the liveness and the adjacency up to date after src was
+// renamed to dst and their copy deleted.
+func (c *coalescer) merge(dst, src rtl.Reg) {
+	for n := range c.adj[src] {
+		delete(c.adj[n], src)
+	}
+	delete(c.adj, src)
+	for n := range c.adj[dst] {
+		delete(c.adj[n], dst)
+	}
+	delete(c.adj, dst)
+	if !c.relive(dst, src) {
+		return // the copy was dst's last occurrence: no node
+	}
+	// Every register in the row occurs in the code, so it has a node.
+	row := c.row(dst)
+	for n := range row {
+		c.adj[n].add(dst)
+	}
+	c.adj[dst] = row
+}
+
+// relive recomputes r's bit in every block's live-in and live-out set by a
+// one-register backward dataflow over the unchanged flow graph, and clears
+// gone's bits, since gone no longer occurs. Like ComputeLiveness it starts
+// from In = gen, Out = empty, so it reaches the same least fixpoint. It
+// records which blocks define and mention r for row, and reports whether r
+// occurs anywhere.
+func (c *coalescer) relive(r, gone rtl.Reg) bool {
+	lv := c.lv
+	occurs := false
+	for i, b := range c.f.Blocks {
+		gen, kill, mention := false, false, false
+		for ii := range b.Insts {
+			in := &b.Insts[ii]
+			c.uses = instUses(in, c.uses[:0])
+			for _, u := range c.uses {
+				if u == r {
+					mention = true
+					gen = gen || !kill
+				}
+			}
+			if instDef(in) == r {
+				kill, mention = true, true
+			}
+		}
+		c.kill[i], c.mention[i] = kill, mention
+		occurs = occurs || mention
+		lv.In[i].Remove(gone)
+		lv.Out[i].Remove(gone)
+		lv.Out[i].Remove(r)
+		if gen {
+			lv.In[i].Add(r)
+		} else {
+			lv.In[i].Remove(r)
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for i := len(c.f.Blocks) - 1; i >= 0; i-- {
+			if lv.Out[i].Has(r) {
+				continue
+			}
+			for _, s := range c.e.Succs[i] {
+				if lv.In[s.Index].Has(r) {
+					lv.Out[i].Add(r)
+					if !c.kill[i] {
+						lv.In[i].Add(r)
+					}
+					changed = true
+					break
+				}
+			}
+		}
+	}
+	return occurs
+}
+
+// row recomputes r's interference row from the current liveness, walking
+// backward only the blocks where r is live out or mentioned: r is live
+// nowhere else. The edges are the ones interferenceOf adds, seen from r.
+func (c *coalescer) row(r rtl.Reg) regSet {
+	row := regSet{}
+	for i, b := range c.f.Blocks {
+		if !c.mention[i] && !c.lv.Out[i].Has(r) {
+			continue
+		}
+		c.live.CopyFrom(c.lv.Out[i])
+		for ii := len(b.Insts) - 1; ii >= 0; ii-- {
+			in := &b.Insts[ii]
+			d := instDef(in)
+			copySrc := rtl.RegNone
+			if in.Kind == rtl.Move && in.Src.Kind == rtl.OReg {
+				copySrc = in.Src.Reg
+			}
+			switch {
+			case d == r:
+				c.live.ForEach(func(l rtl.Reg) {
+					if l != copySrc && l != r && l.IsVirtual() {
+						row.add(l)
+					}
+				})
+			case d != rtl.RegNone && d.IsVirtual() && copySrc != r && c.live.Has(r):
+				row.add(d)
+			}
+			if d != rtl.RegNone {
+				c.live.Remove(d)
+			}
+			c.uses = instUses(in, c.uses[:0])
+			for _, u := range c.uses {
+				c.live.Add(u)
+			}
+		}
+	}
+	return row
 }
 
 // renameReg rewrites every occurrence of register old to new.
@@ -333,9 +494,7 @@ type interference struct {
 	useCount map[rtl.Reg]int
 }
 
-// buildInterference computes the interference graph. A copy's source does
-// not interfere with its destination, which both enables coalescing and
-// avoids wasting a colour on pure moves.
+// buildInterference computes the interference graph with spill costs.
 func buildInterference(f *cfg.Func) *interference {
 	e := cfg.ComputeEdges(f)
 	lv := ComputeLiveness(f, e)
@@ -357,6 +516,17 @@ func buildInterference(f *cfg.Func) *interference {
 		}
 		depthWeight[i] = w
 	}
+	g := interferenceOf(f, lv, depthWeight)
+	lv.Release()
+	e.Release()
+	return g
+}
+
+// interferenceOf builds the interference graph from a liveness; with a nil
+// depthWeight it leaves the use counts empty. A copy's source does not
+// interfere with its destination, which both enables coalescing and avoids
+// wasting a colour on pure moves.
+func interferenceOf(f *cfg.Func, lv *Liveness, depthWeight []int) *interference {
 	g := &interference{adj: map[rtl.Reg]regSet{}, useCount: map[rtl.Reg]int{}}
 	ensure := func(r rtl.Reg) {
 		if g.adj[r] == nil {
@@ -399,13 +569,13 @@ func buildInterference(f *cfg.Func) *interference {
 				live.Add(r)
 				if r.IsVirtual() {
 					ensure(r)
-					g.useCount[r] += depthWeight[b.Index]
+					if depthWeight != nil {
+						g.useCount[r] += depthWeight[b.Index]
+					}
 				}
 			}
 		}
 	}
-	lv.Release()
-	e.Release()
 	return g
 }
 

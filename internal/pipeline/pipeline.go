@@ -92,7 +92,9 @@ type Config struct {
 	// VerifyEach runs the semantic IR verifier (internal/verify) after
 	// every pass and attributes the first violation to the pass that
 	// introduced it: violations land in Stats.Verify and are emitted as
-	// obs.EvVerify trace events. After a function's first violating pass
+	// obs.EvVerify trace events. It also fingerprints the function around
+	// every pass and reports a pass that claims a change on identical code
+	// (verify.RulePhantomChange). After a function's first violating pass
 	// its remaining passes go unchecked — the damage is already attributed,
 	// and a corrupt function would drown the report in downstream noise.
 	// This is a debugging mode: every check recomputes edges, liveness and
@@ -119,8 +121,9 @@ type Config struct {
 	Jobs int
 
 	// corruptAfter, when non-nil, mutates the function after the named
-	// pass runs and before its verify-each check — the fault-injection
-	// hook behind this package's pass-attribution tests.
+	// pass runs and before its verify-each check (but after the phantom-
+	// change fingerprint) — the fault-injection hook behind this package's
+	// pass-attribution tests.
 	corruptAfter func(pass string, f *cfg.Func)
 	// corruptCert, when non-nil, mutates every certificate after the
 	// engine emits it and before the validator sees it — the
@@ -302,13 +305,23 @@ type verifier struct {
 	stopped    bool
 }
 
+// checking reports whether the next pass boundary runs the verify-each
+// checks.
+func (v *verifier) checking() bool {
+	return v != nil && v.checkEach && !v.stopped
+}
+
 func (p *passRunner) run(name string, pass func() bool) bool {
 	if p.tr == nil && p.ver == nil {
 		return pass()
 	}
+	var before uint64
+	if p.ver.checking() {
+		before = fingerprint(p.f)
+	}
 	if p.tr == nil {
 		changed := pass()
-		p.verify(name)
+		p.verify(name, changed, before)
 		return changed
 	}
 	rtlsBefore, blocksBefore := p.f.NumRTLs(), len(p.f.Blocks)
@@ -322,13 +335,14 @@ func (p *passRunner) run(name string, pass func() bool) bool {
 		// det:allow nodeterminism — trace-event duration, not compiler output.
 		TimeNS: start.UnixNano(), DurNS: int64(time.Since(start)),
 	})
-	p.verify(name)
+	p.verify(name, changed, before)
 	return changed
 }
 
 // verify runs the semantic verifier after one pass (verify-each mode) and
-// attributes any violations to it.
-func (p *passRunner) verify(name string) {
+// attributes any violations to it. changed is what the pass reported and
+// before the function's fingerprint ahead of it.
+func (p *passRunner) verify(name string, changed bool, before uint64) {
 	v := p.ver
 	if v == nil {
 		return
@@ -340,18 +354,79 @@ func (p *passRunner) verify(name string) {
 	case "delay-slots":
 		v.opts.DelaySlots = v.slotsAfterFill
 	}
+	var vs []verify.Violation
+	if changed && v.checking() && fingerprint(p.f) == before {
+		vs = append(vs, verify.Violation{
+			Rule: verify.RulePhantomChange, Func: p.f.Name,
+			Detail: "pass reported a change but left the code identical",
+		})
+	}
 	if v.cfg.corruptAfter != nil {
 		v.cfg.corruptAfter(name, p.f)
 	}
 	if len(v.tvPending) > 0 {
-		vs := v.tvPending
+		tvs := v.tvPending
 		v.tvPending = nil
-		p.report(name, vs)
+		p.report(name, tvs)
 	}
-	if v.stopped || !v.checkEach {
+	if !v.checking() {
 		return
 	}
-	p.report(name, verify.Func(p.f, v.opts))
+	p.report(name, append(vs, verify.Func(p.f, v.opts)...))
+}
+
+// fingerprint hashes the function's code (FNV-1a, one round per field
+// rather than per byte, over each block's label and every field of its
+// instructions) so that verify-each can tell whether a pass changed
+// anything.
+func fingerprint(f *cfg.Func) uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(x int64) {
+		h ^= uint64(x)
+		h *= 1099511628211
+	}
+	str := func(s string) {
+		mix(int64(len(s)))
+		for i := 0; i < len(s); i++ {
+			mix(int64(s[i]))
+		}
+	}
+	operand := func(o *rtl.Operand) {
+		mix(int64(o.Kind))
+		mix(int64(o.Reg))
+		mix(o.Val)
+		str(o.Sym)
+		mix(int64(o.Index))
+		mix(o.Scale)
+	}
+	for _, b := range f.Blocks {
+		mix(int64(b.Label))
+		mix(int64(len(b.Insts)))
+		for ii := range b.Insts {
+			in := &b.Insts[ii]
+			mix(int64(in.Kind))
+			mix(int64(in.BOp))
+			mix(int64(in.UOp))
+			mix(int64(in.BrRel))
+			operand(&in.Dst)
+			operand(&in.Src)
+			operand(&in.Src2)
+			mix(int64(in.Target))
+			str(in.Sym)
+			mix(int64(len(in.Table)))
+			for _, l := range in.Table {
+				mix(int64(l))
+			}
+			mix(in.Lo)
+			mix(int64(in.ArgIdx))
+			if in.Annul {
+				mix(1)
+			} else {
+				mix(0)
+			}
+		}
+	}
+	return h
 }
 
 // report attributes freshly-found violations to the named pass, records

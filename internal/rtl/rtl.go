@@ -495,6 +495,24 @@ func (in *Inst) Clone() Inst {
 	return out
 }
 
+// Equal reports structural instruction equality: every field matches, with
+// operands compared by Operand.Equal and jump tables entry by entry
+// (Inst is not ==-comparable because of the table slice).
+func (in *Inst) Equal(o *Inst) bool {
+	if in.Kind != o.Kind || in.BOp != o.BOp || in.UOp != o.UOp || in.BrRel != o.BrRel ||
+		!in.Dst.Equal(o.Dst) || !in.Src.Equal(o.Src) || !in.Src2.Equal(o.Src2) ||
+		in.Target != o.Target || in.Sym != o.Sym || in.Lo != o.Lo ||
+		in.ArgIdx != o.ArgIdx || in.Annul != o.Annul || len(in.Table) != len(o.Table) {
+		return false
+	}
+	for i := range in.Table {
+		if in.Table[i] != o.Table[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // GlobalDef describes one global datum: Size cells of memory, optionally
 // initialized (missing trailing initializers are zero).
 type GlobalDef struct {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -92,16 +93,23 @@ func writeError(w http.ResponseWriter, err error) {
 // stress program (difftest.GenerateStress) 36,754.
 const maxBodyBytes = 1 << 20
 
-// decodeBody parses a JSON request body strictly (unknown fields are an
-// error, so typos in field names fail loudly). A body longer than
-// maxBodyBytes is refused with 413, wherever its excess sits.
+// decodeBody parses a JSON request body strictly: unknown fields are an
+// error, so typos in field names fail loudly, and only whitespace may
+// follow the value. A body longer than maxBodyBytes is refused with 413,
+// wherever its excess sits.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
 	if err == nil {
-		_, err = io.Copy(io.Discard, body)
+		// Read the rest through the limit even after junk, so that an
+		// oversized body stays a 413.
+		var rest trailer
+		_, err = io.Copy(&rest, io.MultiReader(dec.Buffered(), body))
+		if err == nil && rest.data {
+			err = errors.New("data after the JSON value")
+		}
 	}
 	var tooBig *http.MaxBytesError
 	switch {
@@ -114,6 +122,15 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 		return false
 	}
 	return true
+}
+
+// trailer is the writer decodeBody drains a body's remainder into: it
+// records whether anything but JSON whitespace came after the value.
+type trailer struct{ data bool }
+
+func (t *trailer) Write(p []byte) (int, error) {
+	t.data = t.data || len(bytes.TrimLeft(p, " \t\r\n")) > 0
+	return len(p), nil
 }
 
 func (s *Service) handleCompile(w http.ResponseWriter, r *http.Request) {

@@ -160,6 +160,8 @@ func TestCompileErrors(t *testing.T) {
 		{"removed engine field", `{"source":"int main() { return 0; }","replication":{"engine":"matrix"}}`, http.StatusBadRequest},
 		{"bad heuristic", `{"source":"int main() { return 0; }","replication":{"heuristic":"frequency"}}`, http.StatusUnprocessableEntity},
 		{"bad json", `{`, http.StatusBadRequest},
+		{"data after the value", `{"source":"int main() { return 0; }"} {"machine":"vax"} junk`, http.StatusBadRequest},
+		{"whitespace after the value", "{\"source\":\"int main() { return 0; }\"} \r\n\t", http.StatusOK},
 	} {
 		resp, err := http.Post(srv.URL+"/compile", "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -170,15 +172,23 @@ func TestCompileErrors(t *testing.T) {
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status = %d, want %d (body %s)", tc.name, resp.StatusCode, tc.want, data)
 		}
+		if tc.want == http.StatusOK {
+			continue
+		}
 		var eb errorBody
 		if err := json.Unmarshal(data, &eb); err != nil || eb.Error == "" {
 			t.Errorf("%s: no error envelope in %s", tc.name, data)
 		}
 	}
+	if resp, _ := getBody(t, srv.URL+"/healthz"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the bad bodies = %d", resp.StatusCode)
+	}
 	// The excess sits after the JSON value, where the decoder alone would
 	// not read it.
 	small := `{"source":"int main() { return 0; }"}`
 	postOversized(t, srv, "/compile", small, len(small))
+	// Data after the value does not turn an oversized body into a 400.
+	postOversized(t, srv, "/compile", small+" junk", len(small))
 	// Wrong method on a known path.
 	resp, _ := getBody(t, srv.URL+"/compile")
 	if resp.StatusCode != http.StatusMethodNotAllowed {

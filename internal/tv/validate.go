@@ -101,23 +101,6 @@ func (v *checker) deref(l rtl.Label) (rtl.Label, bool) {
 	return b.Insts[0].Target, true
 }
 
-// instEqual is structural instruction equality (rtl.Inst is not
-// ==-comparable because of the jump-table slice).
-func instEqual(a, b *rtl.Inst) bool {
-	if a.Kind != b.Kind || a.BOp != b.BOp || a.UOp != b.UOp || a.BrRel != b.BrRel ||
-		!a.Dst.Equal(b.Dst) || !a.Src.Equal(b.Src) || !a.Src2.Equal(b.Src2) ||
-		a.Target != b.Target || a.Sym != b.Sym || a.Lo != b.Lo ||
-		a.ArgIdx != b.ArgIdx || a.Annul != b.Annul || len(a.Table) != len(b.Table) {
-		return false
-	}
-	for i := range a.Table {
-		if a.Table[i] != b.Table[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // body returns a block's instructions with the terminating control
 // transfer (if any) stripped: the straight-line computation whose equality
 // makes copy and original indistinguishable between cut points.
@@ -134,7 +117,7 @@ func bodiesEqual(a, b []rtl.Inst) bool {
 		return false
 	}
 	for i := range a {
-		if !instEqual(&a[i], &b[i]) {
+		if !a[i].Equal(&b[i]) {
 			return false
 		}
 	}
@@ -330,7 +313,7 @@ func (v *checker) checkEdges(orig, cp *cfg.Block) {
 			}
 		}
 	case oterm.Kind == rtl.Ret:
-		if cterm == nil || !instEqual(cterm, oterm) {
+		if cterm == nil || !cterm.Equal(oterm) {
 			v.failf(cp.Label, "copy of return block %v does not end in the same return", orig.Label)
 		}
 	}

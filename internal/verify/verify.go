@@ -26,6 +26,9 @@
 //	translation-validation a duplication certificate failed cut-point
 //	                       bisimulation checking (emitted by internal/tv,
 //	                       not by Func/Program — see pipeline.Config.TV)
+//	phantom-change         a pass reported a change but left the code
+//	                       identical (emitted by verify-each mode, not by
+//	                       Func/Program — see pipeline.Config.VerifyEach)
 //
 // A structural violation stops the remaining rules for that function: the
 // semantic analyses assume resolvable targets and well-formed blocks.
@@ -59,6 +62,11 @@ const (
 	// (internal/tv) when a duplication certificate fails cut-point
 	// bisimulation checking; Func/Program never emit it themselves.
 	RuleTranslation Rule = "translation-validation"
+	// RulePhantomChange is reported by verify-each mode when a pass
+	// reports a change but the function's code is identical before and
+	// after it: the pass would keep Figure 3's do-while loop running on
+	// unchanged code. Func/Program never emit it themselves.
+	RulePhantomChange Rule = "phantom-change"
 )
 
 // Violation is one verifier finding. Pass, Stage and Iter are filled by
