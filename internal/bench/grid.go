@@ -26,7 +26,7 @@ type Pool interface {
 type GridConfig struct {
 	// Programs to measure (nil = the full Table-3 set).
 	Programs []Program
-	// Caches enables the Table-6 cache bank (roughly 8x slower).
+	// Caches enables the Table-6 cache bank.
 	Caches bool
 	// CacheSizes overrides the paper's {1,2,4,8} KB bank (bytes).
 	CacheSizes []int64

@@ -28,7 +28,7 @@ type Request struct {
 	Level   pipeline.Level
 	// Replication tunes JUMPS (zero value = paper defaults).
 	Replication replicate.Options
-	// SimulateCaches enables the Table-6 cache bank (slower).
+	// SimulateCaches enables the Table-6 cache bank.
 	SimulateCaches bool
 	// CacheSizes overrides the paper's {1,2,4,8} KB cache sizes (bytes);
 	// used for the scaled small-cache study.

@@ -1,15 +1,18 @@
 package pipeline_test
 
 import (
+	"fmt"
 	"os"
+	"path/filepath"
 	"strconv"
 	"testing"
 
 	"repro/internal/difftest"
 )
 
-// TestDumpSeed writes one generated program to a file for inspection; it
-// only runs when REPRO_DUMP_SEED is set to the seed number to dump.
+// TestDumpSeed writes one generated program to seed<N>.c in the system's
+// temporary directory for inspection and logs the path; it only runs when
+// REPRO_DUMP_SEED is set to the seed number to dump.
 func TestDumpSeed(t *testing.T) {
 	env := os.Getenv("REPRO_DUMP_SEED")
 	if env == "" {
@@ -19,5 +22,9 @@ func TestDumpSeed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("REPRO_DUMP_SEED=%q: %v", env, err)
 	}
-	os.WriteFile("/tmp/seed.c", []byte(difftest.Generate(seed)), 0644)
+	path := filepath.Join(os.TempDir(), fmt.Sprintf("seed%d.c", seed))
+	if err := os.WriteFile(path, []byte(difftest.Generate(seed)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote seed %d to %s", seed, path)
 }
