@@ -26,7 +26,7 @@ func measure(b *testing.B, prog *bench.Program, m *machine.Machine, lv pipeline.
 	b.Helper()
 	run, err := ease.Measure(ease.Request{
 		Name: prog.Name, Source: prog.Source, Input: []byte(prog.Input),
-		Machine: m, Level: lv, Replication: opts, SimulateCaches: caches,
+		Machine: m, Level: lv, Spec: pipeline.Spec{Replication: opts}, SimulateCaches: caches,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -1,8 +1,8 @@
 // Command cachesim replays an instruction-fetch trace (as written by
-// `ease -trace`) through direct-mapped instruction caches and reports the
-// paper's metrics (miss ratio, fetch cost) per configuration.
+// `ease -fetchtrace`) through direct-mapped instruction caches and reports
+// the paper's metrics (miss ratio, fetch cost) per configuration.
 //
-//	ease -prog od -machine sparc -level jumps -trace od.trace
+//	ease -prog od -machine sparc -level jumps -fetchtrace od.trace
 //	cachesim -sizes 1024,2048,4096,8192 < od.trace
 package main
 
@@ -10,6 +10,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -52,19 +53,13 @@ func main() {
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
-			continue
-		}
-		if len(fields) != 2 {
-			fmt.Fprintf(os.Stderr, "cachesim: line %d: want `addr size`\n", lineNo)
+		addr, size, err := parseFetch(sc.Text(), lineNo)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "cachesim:", err)
 			os.Exit(1)
 		}
-		addr, err1 := strconv.ParseInt(fields[0], 10, 64)
-		size, err2 := strconv.ParseInt(fields[1], 10, 64)
-		if err1 != nil || err2 != nil || size <= 0 {
-			fmt.Fprintf(os.Stderr, "cachesim: line %d: bad numbers\n", lineNo)
-			os.Exit(1)
+		if size == 0 {
+			continue // blank line
 		}
 		for _, c := range caches {
 			c.Fetch(addr, size)
@@ -103,4 +98,28 @@ func parseSizes(arg string, lineBytes int64) ([]int64, error) {
 		sizes = append(sizes, v)
 	}
 	return sizes, nil
+}
+
+// parseFetch parses trace line lineNo, `addr size` in decimal. A blank
+// line yields size 0. The fetch must lie inside the address space the
+// caches index: addr >= 0, size > 0, and addr+size must not overflow.
+func parseFetch(text string, lineNo int) (addr, size int64, err error) {
+	fields := strings.Fields(text)
+	if len(fields) == 0 {
+		return 0, 0, nil
+	}
+	if len(fields) != 2 {
+		return 0, 0, fmt.Errorf("line %d: want `addr size`", lineNo)
+	}
+	addr, err1 := strconv.ParseInt(fields[0], 10, 64)
+	size, err2 := strconv.ParseInt(fields[1], 10, 64)
+	switch {
+	case err1 != nil || err2 != nil || size <= 0:
+		return 0, 0, fmt.Errorf("line %d: bad numbers", lineNo)
+	case addr < 0:
+		return 0, 0, fmt.Errorf("line %d: negative address %d", lineNo, addr)
+	case addr > math.MaxInt64-size:
+		return 0, 0, fmt.Errorf("line %d: fetch of %d bytes at %d overflows the address space", lineNo, size, addr)
+	}
+	return addr, size, nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cache"
@@ -11,11 +12,11 @@ import (
 	"repro/internal/pipeline"
 )
 
-// The trace this command replays is produced by `ease -trace`, whose fetch
-// addresses come from vm.NewLayout, which internal/encode lays out. These
-// tests pin the x86 end of that contract: the trace carries the encoded
-// byte offsets of the displacement fixpoint, not flat worst-case InstSize
-// sums, and replaying it through a cache is deterministic.
+// The trace this command replays is produced by `ease -fetchtrace`, whose
+// fetch addresses come from vm.NewLayout, which internal/encode lays out.
+// These tests pin the x86 end of that contract: the trace carries the
+// encoded byte offsets of the displacement fixpoint, not flat worst-case
+// InstSize sums, and replaying it through a cache is deterministic.
 
 const traceSrc = `
 int tab[16];
@@ -158,6 +159,38 @@ func TestParseSizes(t *testing.T) {
 		_, err := parseSizes(c.sizes, c.line)
 		if (err == nil) != c.ok {
 			t.Errorf("parseSizes(%q, %d) = %v, want ok=%v", c.sizes, c.line, err, c.ok)
+		}
+	}
+}
+
+// TestParseFetch checks the trace-line parser: a fetch the caches cannot
+// index (a negative address, or one whose end overflows) is an error that
+// names the line, not a panic in the cache.
+func TestParseFetch(t *testing.T) {
+	for _, c := range []struct {
+		line       string
+		addr, size int64
+		err        string
+	}{
+		{"100 4", 100, 4, ""},
+		{"  0\t2 ", 0, 2, ""},
+		{"", 0, 0, ""},
+		{"   ", 0, 0, ""},
+		{"9223372036854775806 1", 1<<63 - 2, 1, ""},
+		{"-100 4", 0, 0, "line 7: negative address -100"},
+		{"9223372036854775807 2", 0, 0, "line 7: fetch of 2 bytes at 9223372036854775807 overflows the address space"},
+		{"100", 0, 0, "line 7: want `addr size`"},
+		{"100 4 5", 0, 0, "line 7: want `addr size`"},
+		{"x 4", 0, 0, "line 7: bad numbers"},
+		{"100 0", 0, 0, "line 7: bad numbers"},
+		{"100 -4", 0, 0, "line 7: bad numbers"},
+	} {
+		addr, size, err := parseFetch(c.line, 7)
+		if got := fmt.Sprint(err); c.err == "" && err != nil || c.err != "" && got != c.err {
+			t.Errorf("parseFetch(%q) error = %v, want %q", c.line, err, c.err)
+		}
+		if addr != c.addr || size != c.size {
+			t.Errorf("parseFetch(%q) = %d, %d, want %d, %d", c.line, addr, size, c.addr, c.size)
 		}
 	}
 }

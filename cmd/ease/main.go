@@ -49,12 +49,13 @@ func main() {
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "parallel measurement workers for -grid; for a single measurement, per-function optimizer workers (output is identical for every value)")
 	flag.Parse()
 
+	spec := pipeline.Spec{VerifyEach: *verifyEach, TV: *tvFlag}
 	if *grid {
-		runGrid(*caches, *jobs, *quiet, *verifyEach, *tvFlag)
+		runGrid(*caches, *jobs, *quiet, spec)
 		return
 	}
 
-	req := ease.Request{SimulateCaches: *caches, Profile: *profile, VerifyEach: *verifyEach, TV: *tvFlag, Jobs: *jobs}
+	req := ease.Request{Spec: spec, SimulateCaches: *caches, Profile: *profile, Jobs: *jobs}
 	switch {
 	case *progName != "":
 		p := bench.ProgramByName(*progName)
@@ -95,19 +96,26 @@ func main() {
 	}
 	req.Level = lv
 
+	// The fetch trace is flushed and closed explicitly at the end: a write
+	// error (a full disk, say) must fail the run, not vanish in a defer.
+	var finishFetchTrace func() error
 	if *fetchTraceFile != "" {
 		f, err := os.Create(*fetchTraceFile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ease:", err)
 			os.Exit(1)
 		}
-		defer f.Close()
 		w := bufio.NewWriter(f)
-		defer w.Flush()
 		req.OnFetch = func(addr, size int64) {
 			fmt.Fprintf(w, "%d %d\n", addr, size)
 		}
-		defer fmt.Fprintf(os.Stderr, "fetch trace written to %s\n", *fetchTraceFile)
+		finishFetchTrace = func() error {
+			err := w.Flush()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			return err
+		}
 	}
 
 	// Telemetry sinks: a JSONL file for -trace, an in-memory collector for
@@ -197,6 +205,13 @@ func main() {
 	if collector != nil {
 		obs.Explain(os.Stderr, collector.Events())
 	}
+	if finishFetchTrace != nil {
+		if err := finishFetchTrace(); err != nil {
+			fmt.Fprintln(os.Stderr, "ease:", err)
+			os.Exit(1)
+		}
+		fmt.Fprintf(os.Stderr, "fetch trace written to %s\n", *fetchTraceFile)
+	}
 }
 
 // runGrid measures every (program × machine × level) cell through the
@@ -204,7 +219,7 @@ func main() {
 // bytes are identical for every -j: cells land at preassigned grid
 // positions, and the per-cell progress lines on stderr are serialized by
 // bench.RunGrid (only their order varies with -j > 1).
-func runGrid(caches bool, jobs int, quiet bool, verifyEach, tv bool) {
+func runGrid(caches bool, jobs int, quiet bool, spec pipeline.Spec) {
 	pool := service.NewPool(jobs, 0)
 	var progress *os.File
 	if !quiet {
@@ -212,11 +227,10 @@ func runGrid(caches bool, jobs int, quiet bool, verifyEach, tv bool) {
 	}
 	start := time.Now()
 	res, err := bench.RunGrid(context.Background(), bench.GridConfig{
-		Caches:     caches,
-		Progress:   progress,
-		Pool:       pool,
-		VerifyEach: verifyEach,
-		TV:         tv,
+		Caches:   caches,
+		Spec:     spec,
+		Progress: progress,
+		Pool:     pool,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ease:", err)

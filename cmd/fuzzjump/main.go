@@ -121,12 +121,10 @@ func main() {
 	opts := difftest.Options{
 		Machines:      ms,
 		Levels:        lvs,
-		Replication:   rep,
+		Spec:          pipeline.Spec{Replication: rep, VerifyEach: *verifyEach, TV: *tvFlag},
 		MaxSteps:      *maxSteps,
 		Input:         []byte("fuzzjump"),
 		CheckResidual: *residual,
-		VerifyEach:    *verifyEach,
-		TV:            *tvFlag,
 	}
 
 	// The seed feed: a monotone counter, drained by the workers until the

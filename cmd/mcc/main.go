@@ -77,6 +77,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mcc:", err)
 		os.Exit(2)
 	}
+	if err := replicate.CheckMaxSeq(*maxSeq); err != nil {
+		fmt.Fprintln(os.Stderr, "mcc:", err)
+		os.Exit(2)
+	}
 
 	// Telemetry: an optional file sink (JSONL or Chrome trace_event) plus
 	// an in-memory collector backing -explain. Nil when neither is asked
@@ -125,13 +129,15 @@ func main() {
 	}
 
 	st := pipeline.Optimize(prog, pipeline.Config{
-		Machine:     m,
-		Level:       lv,
-		Replication: replicate.Options{MaxSeqRTLs: *maxSeq},
-		Tracer:      tracer,
-		VerifyEach:  *verifyEach,
-		TV:          *tvFlag,
-		Jobs:        *jobs,
+		Machine: m,
+		Level:   lv,
+		Spec: pipeline.Spec{
+			Replication: replicate.Options{MaxSeqRTLs: *maxSeq},
+			VerifyEach:  *verifyEach,
+			TV:          *tvFlag,
+		},
+		Tracer: tracer,
+		Jobs:   *jobs,
 	})
 	if len(st.Verify) > 0 {
 		for _, v := range st.Verify {

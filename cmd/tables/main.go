@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 
@@ -42,8 +43,17 @@ func main() {
 		return
 	}
 
+	write, known := tableWriters[*table]
+	if !known && *table != "cap" {
+		fmt.Fprintf(os.Stderr, "tables: unknown table %q (want 4, 5, 6, 6s, branchdist or cap)\n", *table)
+		os.Exit(2)
+	}
 	h, err := replicate.ParseHeuristic(*heuristic)
 	if err != nil {
+		fmt.Fprintf(os.Stderr, "tables: %v\n", err)
+		os.Exit(2)
+	}
+	if err := replicate.CheckMaxSeq(*maxSeq); err != nil {
 		fmt.Fprintf(os.Stderr, "tables: %v\n", err)
 		os.Exit(2)
 	}
@@ -75,11 +85,11 @@ func main() {
 		pool = service.NewPool(*jobs, 0)
 	}
 	res, err := bench.RunGrid(context.Background(), bench.GridConfig{
-		Caches:      needCaches,
-		CacheSizes:  sizes,
-		Replication: opts,
-		Progress:    progress,
-		Pool:        pool,
+		Caches:     needCaches,
+		CacheSizes: sizes,
+		Spec:       pipeline.Spec{Replication: opts},
+		Progress:   progress,
+		Pool:       pool,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tables:", err)
@@ -111,21 +121,18 @@ func main() {
 		}
 		return
 	}
-	switch *table {
-	case "":
-		res.WriteAll(os.Stdout, true)
-	case "4":
-		res.Table4(os.Stdout)
-	case "5":
-		res.Table5(os.Stdout)
-	case "6", "6s":
-		res.Table6(os.Stdout)
-	case "branchdist":
-		res.BranchDistance(os.Stdout)
-	default:
-		fmt.Fprintf(os.Stderr, "tables: unknown table %q\n", *table)
-		os.Exit(2)
-	}
+	write(res, os.Stdout)
+}
+
+// tableWriters renders each -table name from the measured grid; "cap" is
+// not among them because it runs its own sweep (capSweep).
+var tableWriters = map[string]func(*bench.Results, io.Writer){
+	"":           func(r *bench.Results, w io.Writer) { r.WriteAll(w, true) },
+	"4":          (*bench.Results).Table4,
+	"5":          (*bench.Results).Table5,
+	"6":          (*bench.Results).Table6,
+	"6s":         (*bench.Results).Table6,
+	"branchdist": (*bench.Results).BranchDistance,
 }
 
 // capSweep implements the §6 ablation: sweep the replication length cap and
@@ -149,7 +156,7 @@ func capSweep(base replicate.Options, quiet bool) {
 			o.MaxSeqRTLs = c
 			rj, err := ease.Measure(ease.Request{
 				Name: p.Name, Source: p.Source, Input: []byte(p.Input),
-				Machine: machine.SPARC, Level: pipeline.Jumps, Replication: o,
+				Machine: machine.SPARC, Level: pipeline.Jumps, Spec: pipeline.Spec{Replication: o},
 			})
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "tables:", err)

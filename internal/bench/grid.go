@@ -9,7 +9,7 @@ import (
 
 	"repro/internal/ease"
 	"repro/internal/obs"
-	"repro/internal/replicate"
+	"repro/internal/pipeline"
 	"repro/internal/verify"
 )
 
@@ -30,16 +30,9 @@ type GridConfig struct {
 	Caches bool
 	// CacheSizes overrides the paper's {1,2,4,8} KB bank (bytes).
 	CacheSizes []int64
-	// Replication tunes the JUMPS algorithm.
-	Replication replicate.Options
-	// VerifyEach runs the semantic IR verifier (internal/verify) after
-	// every pipeline pass in every cell; the first violation fails the
-	// grid run with the offending pass named in the error.
-	VerifyEach bool
-	// TV runs the translation validator over every cell's duplication
-	// engine (ease.Request.TV): a rejected certificate fails the grid run
-	// the same way a VerifyEach violation does.
-	TV bool
+	// Spec is every cell's compile spec; a verify-each violation or TV
+	// rejection fails the grid run with the offending pass named.
+	pipeline.Spec
 	// Progress, when non-nil, receives one line per completed cell.
 	// Writes are serialized, so any io.Writer is safe.
 	Progress io.Writer
@@ -149,11 +142,9 @@ func RunGrid(ctx context.Context, cfg GridConfig) (*Results, error) {
 			Input:          []byte(sp.prog.Input),
 			Machine:        m,
 			Level:          lv,
-			Replication:    cfg.Replication,
+			Spec:           cfg.Spec,
 			SimulateCaches: cfg.Caches,
 			CacheSizes:     cfg.CacheSizes,
-			VerifyEach:     cfg.VerifyEach,
-			TV:             cfg.TV,
 			Tracer:         tr,
 		})
 		if err != nil {

@@ -120,8 +120,8 @@ func TestRunGridVerifyEach(t *testing.T) {
 		t.Fatalf("plain: %v", err)
 	}
 	verified, err := bench.RunGrid(context.Background(), bench.GridConfig{
-		Programs:   progs,
-		VerifyEach: true,
+		Programs: progs,
+		Spec:     pipeline.Spec{VerifyEach: true},
 	})
 	if err != nil {
 		t.Fatalf("verify-each grid failed: %v", err)

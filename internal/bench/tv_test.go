@@ -23,7 +23,7 @@ func optimizeSuite(t *testing.T, tv bool) time.Duration {
 			for _, lv := range levels {
 				cell := prog.Clone()
 				start := time.Now()
-				st := pipeline.Optimize(cell, pipeline.Config{Machine: m, Level: lv, TV: tv})
+				st := pipeline.Optimize(cell, pipeline.Config{Machine: m, Level: lv, Spec: pipeline.Spec{TV: tv}})
 				total += time.Since(start)
 				for _, vi := range st.Verify {
 					t.Errorf("%s %s/%s: %s", p.Name, m.Name, lv, vi.String())

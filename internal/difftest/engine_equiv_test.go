@@ -41,7 +41,7 @@ func jumpsDigests(t *testing.T, src string) (trace, code string) {
 		Tracer:  w,
 		// A tight growth cap keeps the 200 full-pipeline compiles fast;
 		// every replication decision up to the cap is still pinned.
-		Replication: replicate.Options{MaxFuncRTLs: 1500},
+		Spec: pipeline.Spec{Replication: replicate.Options{MaxFuncRTLs: 1500}},
 	})
 	if err := w.Err(); err != nil {
 		t.Fatalf("trace: %v", err)

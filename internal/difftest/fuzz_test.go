@@ -3,6 +3,8 @@ package difftest
 import (
 	"os"
 	"testing"
+
+	"repro/internal/pipeline"
 )
 
 // FuzzGenerated is the CI smoke target: the fuzzer explores the seed space
@@ -26,7 +28,7 @@ func FuzzGenerated(f *testing.F) {
 			MaxSteps: 10_000_000,
 			// Run the semantic verifier after every pass so a violation is
 			// attributed to the pass that introduced it.
-			VerifyEach: true,
+			Spec: pipeline.Spec{VerifyEach: true},
 		})
 		if v.Skipped {
 			t.Fatalf("seed %d skipped (generator emitted ill-defined program): %s\n%s",
@@ -62,9 +64,9 @@ func FuzzDifferential(f *testing.F) {
 			t.Skip("oversized input")
 		}
 		v := Check(src, Options{
-			Input:      []byte("in"),
-			MaxSteps:   2_000_000,
-			VerifyEach: true,
+			Input:    []byte("in"),
+			MaxSteps: 2_000_000,
+			Spec:     pipeline.Spec{VerifyEach: true},
 		})
 		if v.Skipped {
 			t.Skip(v.SkipReason)

@@ -84,9 +84,9 @@ func TestMinimizeOracleFailure(t *testing.T) {
 		t.Skip("runs the full oracle per shrink attempt")
 	}
 	broken := Options{
-		Replication: replicate.Options{ForceKeepIrreducible: true},
-		Machines:    []*machine.Machine{machine.M68020},
-		Levels:      []pipeline.Level{pipeline.Jumps},
+		Spec:     pipeline.Spec{Replication: replicate.Options{ForceKeepIrreducible: true}},
+		Machines: []*machine.Machine{machine.M68020},
+		Levels:   []pipeline.Level{pipeline.Jumps},
 	}
 	fails := func(src string) bool {
 		v := Check(src, broken)

@@ -93,9 +93,14 @@ type Options struct {
 	Machines []*machine.Machine
 	// Levels to compile at (nil = pipeline.AllLevels()).
 	Levels []pipeline.Level
-	// Replication tunes — or, for the oracle's own self-test, deliberately
-	// breaks — the replication algorithm in every cell.
-	Replication replicate.Options
+	// Spec tunes — or, for the oracle's own self-test, deliberately
+	// breaks — every cell's compile. With VerifyEach a violation is
+	// attributed to the pass that introduced it instead of only being
+	// caught by the post-pipeline check (slower; the fuzz smoke and
+	// nightly campaigns enable it); with TV every rejected certificate
+	// becomes a VTranslation verdict attributed to the pass that emitted
+	// it.
+	pipeline.Spec
 	// MaxSteps bounds each VM execution (0 = default 50M).
 	MaxSteps int64
 	// Input is the byte stream getchar() consumes, identical in every run.
@@ -108,18 +113,6 @@ type Options struct {
 	// this reports the conservatism gap rather than a soundness bug —
 	// useful in offline campaigns, wrong as a CI failure.
 	CheckResidual bool
-	// VerifyEach runs the semantic verifier after every pipeline pass in
-	// every cell (pipeline.Config.VerifyEach), so a violation is attributed
-	// to the pass that introduced it instead of only being caught by the
-	// post-pipeline check. Slower; the fuzz smoke and nightly campaigns
-	// enable it.
-	VerifyEach bool
-	// TV runs the translation validator in every cell
-	// (pipeline.Config.TV): each applied duplication must present a
-	// certificate that checks out by cut-point bisimulation, and every
-	// rejection becomes a VTranslation verdict attributed to the pass
-	// that emitted the certificate.
-	TV bool
 	// PostOptimize, when non-nil, runs after the pipeline and before the
 	// structural checks and execution of each cell — a fault-injection
 	// hook for testing that the oracle actually catches miscompiles.
@@ -147,20 +140,20 @@ func (o Options) maxSteps() int64 {
 	return o.MaxSteps
 }
 
-// replication returns the replication options with a fuzzing-friendly
-// growth cap: goto-heavy generated programs can otherwise balloon to the
-// stock 20000-RTL ceiling, where the downstream passes (liveness, register
+// spec returns the compile spec with a fuzzing-friendly growth cap:
+// goto-heavy generated programs can otherwise balloon to the stock
+// 20000-RTL ceiling, where the downstream passes (liveness, register
 // allocation) dominate a cell's wall time. The cap was 6000 when step 1
 // was the all-pairs Floyd–Warshall matrix; the on-demand path oracle
 // removed that bottleneck (see internal/replicate/oracle.go), so the
 // ceiling now doubles to 12000 while a full grid check stays in the low
 // seconds.
-func (o Options) replication() replicate.Options {
-	r := o.Replication
-	if r.MaxFuncRTLs == 0 {
-		r.MaxFuncRTLs = 12000
+func (o Options) spec() pipeline.Spec {
+	s := o.Spec
+	if s.Replication.MaxFuncRTLs == 0 {
+		s.Replication.MaxFuncRTLs = 12000
 	}
-	return r
+	return s
 }
 
 // Check compiles src at every configured (machine, level) cell, executes
@@ -199,6 +192,7 @@ func Check(src string, o Options) *Verdict {
 		branches int64 // conditional branches (Br)
 	}
 	perMachine := map[string]map[pipeline.Level]cellCounts{}
+	spec := o.spec()
 
 	for _, m := range o.machines() {
 		perMachine[m.Name] = map[pipeline.Level]cellCounts{}
@@ -210,13 +204,7 @@ func Check(src string, o Options) *Verdict {
 				v.add(m, lv, VStructure, fmt.Sprintf("recompile: %v", err))
 				continue
 			}
-			st := pipeline.Optimize(prog, pipeline.Config{
-				Machine:     m,
-				Level:       lv,
-				Replication: o.replication(),
-				VerifyEach:  o.VerifyEach,
-				TV:          o.TV,
-			})
+			st := pipeline.Optimize(prog, pipeline.Config{Machine: m, Level: lv, Spec: spec})
 			if o.PostOptimize != nil {
 				o.PostOptimize(m, lv, prog)
 			}
@@ -241,7 +229,7 @@ func Check(src string, o Options) *Verdict {
 				continue
 			}
 			if lv == pipeline.Jumps && o.CheckResidual {
-				if det := residualReplicableJump(prog, o.replication()); det != "" {
+				if det := residualReplicableJump(prog, spec.Replication); det != "" {
 					v.add(m, lv, VResidual, det)
 				}
 			}

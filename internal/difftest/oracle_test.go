@@ -77,8 +77,8 @@ func TestOracleCatchesBrokenRollback(t *testing.T) {
 	broken := replicate.Options{ForceKeepIrreducible: true}
 	for seed := int64(1); seed <= 30; seed++ {
 		v := Check(Generate(seed), Options{
-			Seed:        seed,
-			Replication: broken,
+			Seed: seed,
+			Spec: pipeline.Spec{Replication: broken},
 			// JUMPS on the 68020 exercises replication hardest; restricting
 			// the cells keeps the scan fast.
 			Machines: []*machine.Machine{machine.M68020},
@@ -160,10 +160,10 @@ func TestOracleCatchesSemanticCorruption(t *testing.T) {
 // the detail, not just as a post-pipeline finding.
 func TestOracleVerifyEachAttribution(t *testing.T) {
 	v := Check(Generate(1), Options{
-		Seed:       1,
-		VerifyEach: true,
-		Machines:   []*machine.Machine{machine.M68020},
-		Levels:     []pipeline.Level{pipeline.Jumps},
+		Seed:     1,
+		Spec:     pipeline.Spec{VerifyEach: true},
+		Machines: []*machine.Machine{machine.M68020},
+		Levels:   []pipeline.Level{pipeline.Jumps},
 	})
 	if v.Failed() {
 		t.Fatalf("clean program failed under VerifyEach: %v", v.Violations)

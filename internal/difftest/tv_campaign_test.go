@@ -56,7 +56,7 @@ func TestTVCampaign(t *testing.T) {
 							return
 						}
 						st := pipeline.Optimize(prog, pipeline.Config{
-							Machine: m, Level: lv, TV: true,
+							Machine: m, Level: lv, Spec: pipeline.Spec{TV: true},
 						})
 						for _, vi := range st.Verify {
 							t.Errorf("seed %d %s/%s: false alarm: %s", s, m.Name, lv, vi.String())
@@ -78,7 +78,7 @@ func TestOracleTVVerdictKind(t *testing.T) {
 		t.Errorf("kindForRule(RuleTranslation) = %q, want %q", got, VTranslation)
 	}
 	v := Check(Generate(1), Options{
-		Seed: 1, TV: true,
+		Seed: 1, Spec: pipeline.Spec{TV: true},
 		Machines: []*machine.Machine{machine.M68020},
 		Levels:   []pipeline.Level{pipeline.Jumps, pipeline.Dups},
 	})

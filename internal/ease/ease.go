@@ -15,7 +15,6 @@ import (
 	"repro/internal/mcc"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/replicate"
 	"repro/internal/vm"
 )
 
@@ -26,8 +25,11 @@ type Request struct {
 	Input   []byte
 	Machine *machine.Machine
 	Level   pipeline.Level
-	// Replication tunes JUMPS (zero value = paper defaults).
-	Replication replicate.Options
+	// Spec tunes replication (zero value = paper defaults) and turns on
+	// verify-each and TV. Their findings do not abort: they land in
+	// Run.Static.Verify for the caller — cmd/ease turns them into a
+	// non-zero exit, mccd into a structured response diagnostic.
+	pipeline.Spec
 	// SimulateCaches enables the Table-6 cache bank.
 	SimulateCaches bool
 	// CacheSizes overrides the paper's {1,2,4,8} KB cache sizes (bytes);
@@ -49,18 +51,6 @@ type Request struct {
 	// (pipeline.Config.Jobs): 0 = GOMAXPROCS, 1 = serial. Output is
 	// identical for every value.
 	Jobs int
-	// VerifyEach additionally runs the verifier after every pipeline pass,
-	// attributing the first violation to the pass that introduced it
-	// (pipeline.Config.VerifyEach). Violations do not abort: they are
-	// collected in Run.Static.Verify for the caller — cmd/ease turns them
-	// into a non-zero exit, mccd into a structured response diagnostic.
-	VerifyEach bool
-	// TV runs the translation validator over the duplication engine
-	// (pipeline.Config.TV): every applied replication, fold, rotation and
-	// jump deletion must present a certificate that passes cut-point
-	// bisimulation checking. Rejections land in Run.Static.Verify with
-	// rule "translation-validation", attributed like VerifyEach findings.
-	TV bool
 }
 
 // Run is the outcome of one measurement.
@@ -151,13 +141,11 @@ func MeasureProgram(prog *cfg.Program, req Request) (*Run, error) {
 		inputRTLs += f.NumRTLs()
 	}
 	st := pipeline.Optimize(prog, pipeline.Config{
-		Machine:     req.Machine,
-		Level:       req.Level,
-		Replication: req.Replication,
-		Tracer:      req.Tracer,
-		VerifyEach:  req.VerifyEach,
-		TV:          req.TV,
-		Jobs:        req.Jobs,
+		Machine: req.Machine,
+		Level:   req.Level,
+		Spec:    req.Spec,
+		Tracer:  req.Tracer,
+		Jobs:    req.Jobs,
 	})
 	optimizeElapsed := time.Since(start) // det:allow nodeterminism — phase/elapsed telemetry
 	phaseSpan(req.Tracer, "optimize", start)

@@ -64,7 +64,7 @@ int main() {
 		}
 		want[i] = pipeline.Optimize(prog, pipeline.Config{
 			Machine: c.m, Level: c.lv,
-			Replication: replicate.Options{Heuristic: replicate.HeurReturns},
+			Spec: pipeline.Spec{Replication: replicate.Options{Heuristic: replicate.HeurReturns}},
 		})
 	}
 
@@ -83,7 +83,7 @@ int main() {
 				}
 				st := pipeline.Optimize(prog, pipeline.Config{
 					Machine: c.m, Level: c.lv,
-					Replication: replicate.Options{Heuristic: replicate.HeurReturns},
+					Spec: pipeline.Spec{Replication: replicate.Options{Heuristic: replicate.HeurReturns}},
 				})
 				// Stats carries a slice field (Verify) since verify-each
 				// landed, so compare deeply rather than with ==.

@@ -74,7 +74,7 @@ func TestOptimizeJobsVerifyEach(t *testing.T) {
 	}
 	st := pipeline.Optimize(cp, pipeline.Config{
 		Machine: machine.M68020, Level: pipeline.Jumps, Jobs: 8,
-		VerifyEach: true,
+		Spec: pipeline.Spec{VerifyEach: true},
 	})
 	if len(st.Verify) != 0 {
 		t.Fatalf("verify-each under -j 8 found violations: %v", st.Verify)

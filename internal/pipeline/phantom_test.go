@@ -17,7 +17,7 @@ import (
 func TestPhantomChange(t *testing.T) {
 	for _, corrupt := range []bool{false, true} {
 		f := compileFor(t, verifyEachSrc).Funcs[0]
-		c := Config{Machine: machine.M68020, VerifyEach: true}
+		c := Config{Machine: machine.M68020, Spec: Spec{VerifyEach: true}}
 		if corrupt {
 			// A corruption injected after the pass must not mask the
 			// phantom: the "after" fingerprint is taken before the hook.

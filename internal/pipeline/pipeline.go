@@ -76,19 +76,14 @@ func ParseLevel(s string) (Level, error) {
 	return Simple, fmt.Errorf("pipeline: unknown level %q (want simple, loops, jumps or dups)", s)
 }
 
-// Config selects the machine, level and replication options.
-type Config struct {
-	Machine *machine.Machine
-	Level   Level
+// Spec is the settable part of a compile beyond its machine and level:
+// the replication options and the two checking modes. Config,
+// ease.Request, bench.GridConfig and difftest.Options embed it, so a
+// caller hands it on as one value; mccd resolves its wire form into one.
+type Spec struct {
 	// Replication tunes the replication passes (LOOPS, JUMPS and DUPS;
 	// ignored at SIMPLE). Its Tracer is replaced by Config.Tracer.
 	Replication replicate.Options
-	// Tracer, when non-nil, receives telemetry: one obs.EvPass span per
-	// optimization pass (wall time, iteration, RTL/block deltas), one
-	// obs.EvPhase span per function, and the replication decision log.
-	// Nil disables tracing; the instrumented paths then cost a single nil
-	// check.
-	Tracer obs.Tracer
 	// VerifyEach runs the semantic IR verifier (internal/verify) after
 	// every pass and attributes the first violation to the pass that
 	// introduced it: violations land in Stats.Verify and are emitted as
@@ -112,6 +107,19 @@ type Config struct {
 	// VerifyEach, TV's cost is proportional to the duplications actually
 	// applied, not to the pass count.
 	TV bool
+}
+
+// Config selects the machine, level and Spec of one compile.
+type Config struct {
+	Machine *machine.Machine
+	Level   Level
+	Spec
+	// Tracer, when non-nil, receives telemetry: one obs.EvPass span per
+	// optimization pass (wall time, iteration, RTL/block deltas), one
+	// obs.EvPhase span per function, and the replication decision log.
+	// Nil disables tracing; the instrumented paths then cost a single nil
+	// check.
+	Tracer obs.Tracer
 	// Jobs bounds how many functions Optimize works on concurrently inside
 	// one translation unit: 0 means GOMAXPROCS, 1 forces the serial path.
 	// The output is identical for every value — functions share no mutable

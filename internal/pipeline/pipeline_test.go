@@ -331,7 +331,7 @@ func TestLevelsWithOptions(t *testing.T) {
 				t.Fatalf("%s: %v", pr.name, err)
 			}
 			pipeline.Optimize(prog, pipeline.Config{
-				Machine: machine.SPARC, Level: pipeline.Jumps, Replication: o,
+				Machine: machine.SPARC, Level: pipeline.Jumps, Spec: pipeline.Spec{Replication: o},
 			})
 			got, err := vm.Run(prog, vm.Config{Input: []byte(pr.input)})
 			if err != nil {

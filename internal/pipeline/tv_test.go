@@ -21,11 +21,11 @@ func TestTVCleanPipeline(t *testing.T) {
 		for _, lv := range AllLevels() {
 			certs := 0
 			st := Optimize(compileFor(t, verifyEachSrc), Config{
-				Machine: m, Level: lv, TV: true,
+				Machine: m, Level: lv,
 				Jobs: 1, // the hook's counter is not synchronized
-				Replication: replicate.Options{
+				Spec: Spec{TV: true, Replication: replicate.Options{
 					OnCertificate: func(*cfg.Func, *tv.Certificate) { certs++ },
-				},
+				}},
 			})
 			for _, vi := range st.Verify {
 				t.Errorf("%s/%s: %s", m.Name, lv, vi.String())
@@ -41,7 +41,7 @@ func TestTVCleanPipeline(t *testing.T) {
 // rejections (and their absence) identically to the serial path.
 func TestTVCleanPipelineParallel(t *testing.T) {
 	st := Optimize(compileFor(t, verifyEachSrc), Config{
-		Machine: machine.M68020, Level: Jumps, TV: true, Jobs: 4,
+		Machine: machine.M68020, Level: Jumps, Spec: Spec{TV: true}, Jobs: 4,
 	})
 	for _, vi := range st.Verify {
 		t.Errorf("parallel TV pipeline: %s", vi.String())
@@ -100,7 +100,7 @@ func TestTVRejectionAttribution(t *testing.T) {
 			st := Optimize(compileFor(t, verifyEachSrc), Config{
 				Machine: machine.M68020,
 				Level:   Jumps,
-				TV:      true,
+				Spec:    Spec{TV: true},
 				Jobs:    1, // one injection, into the first function to run
 				corruptCert: func(f *cfg.Func, c *tv.Certificate) {
 					if !injected {
@@ -198,11 +198,10 @@ func TestVerifyEachAttributionUnderTV(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			corrupted := false
 			st := Optimize(compileFor(t, verifyEachSrc), Config{
-				Machine:    c.machine,
-				Level:      Jumps,
-				VerifyEach: true,
-				TV:         true,
-				Jobs:       1, // one injection, into the first function to run
+				Machine: c.machine,
+				Level:   Jumps,
+				Spec:    Spec{VerifyEach: true, TV: true},
+				Jobs:    1, // one injection, into the first function to run
 				corruptAfter: func(pass string, f *cfg.Func) {
 					if pass == c.pass && !corrupted {
 						corrupted = true
@@ -243,14 +242,13 @@ func TestTVUndoInjection(t *testing.T) {
 	st := Optimize(compileFor(t, verifyEachSrc), Config{
 		Machine: machine.M68020,
 		Level:   Jumps,
-		TV:      true,
 		Jobs:    1, // the hook's slice is not synchronized
-		Replication: replicate.Options{
+		Spec: Spec{TV: true, Replication: replicate.Options{
 			ForceRollback: true,
 			OnCertificate: func(_ *cfg.Func, c *tv.Certificate) {
 				kinds = append(kinds, c.Kind)
 			},
-		},
+		}},
 	})
 	for _, vi := range st.Verify {
 		t.Errorf("undo injection produced a TV rejection: %s", vi.String())

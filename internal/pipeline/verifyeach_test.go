@@ -47,7 +47,7 @@ func TestVerifyEachCleanPipeline(t *testing.T) {
 	for _, m := range machine.All() {
 		for _, lv := range []Level{Simple, Loops, Jumps} {
 			st := Optimize(compileFor(t, verifyEachSrc), Config{
-				Machine: m, Level: lv, VerifyEach: true,
+				Machine: m, Level: lv, Spec: Spec{VerifyEach: true},
 			})
 			for _, vi := range st.Verify {
 				t.Errorf("%s/%s: %s", m.Name, lv, vi.String())
@@ -135,10 +135,10 @@ func TestVerifyEachAttribution(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			corrupted := false
 			st := Optimize(compileFor(t, verifyEachSrc), Config{
-				Machine:    c.machine,
-				Level:      Jumps,
-				VerifyEach: true,
-				Jobs:       1, // one injection, into the first function to run
+				Machine: c.machine,
+				Level:   Jumps,
+				Spec:    Spec{VerifyEach: true},
+				Jobs:    1, // one injection, into the first function to run
 				corruptAfter: func(pass string, f *cfg.Func) {
 					// Corrupt only the first function that runs the target
 					// pass; one injection is enough to test attribution.
@@ -177,9 +177,9 @@ func TestVerifyEachAttribution(t *testing.T) {
 // violations carry the first offending pass.
 func TestVerifyEachStopsAfterFirstViolatingPass(t *testing.T) {
 	st := Optimize(compileFor(t, verifyEachSrc), Config{
-		Machine:    machine.M68020,
-		Level:      Jumps,
-		VerifyEach: true,
+		Machine: machine.M68020,
+		Level:   Jumps,
+		Spec:    Spec{VerifyEach: true},
 		corruptAfter: func(pass string, f *cfg.Func) {
 			// Corrupt after every single pass: only the first one per
 			// function may be blamed.

@@ -60,6 +60,16 @@ func ParseHeuristic(s string) (Heuristic, error) {
 	return HeurShortest, fmt.Errorf("replicate: unknown heuristic %q (want shortest, returns or loops)", s)
 }
 
+// CheckMaxSeq checks a wire or CLI value for Options.MaxSeqRTLs: 0 means
+// no cap, and a negative cap is refused rather than read as a second
+// spelling of 0.
+func CheckMaxSeq(n int) error {
+	if n < 0 {
+		return fmt.Errorf("replicate: negative maxseq %d (want 0 for no cap, or a positive RTL count)", n)
+	}
+	return nil
+}
+
 // Options configures the JUMPS algorithm.
 type Options struct {
 	// Heuristic picks between favoring-returns and favoring-loops

@@ -136,7 +136,7 @@ func TestCompileDifferentOptionsMiss(t *testing.T) {
 	postJSON(t, srv.URL+"/compile", CompileRequest{Source: tinySrc, Spec: Spec{Level: "simple"}})
 	postJSON(t, srv.URL+"/compile", CompileRequest{Source: tinySrc, Spec: Spec{Level: "jumps"}})
 	postJSON(t, srv.URL+"/compile", CompileRequest{Source: tinySrc, Spec: Spec{Level: "jumps",
-		Replication: ReplicationOptions{MaxSeqRTLs: 4}}})
+		CompileOptions: CompileOptions{Replication: ReplicationOptions{MaxSeqRTLs: 4}}}})
 	if hits := s.cache.Hits(); hits != 0 {
 		t.Fatalf("distinct requests hit the cache %d times", hits)
 	}
@@ -159,6 +159,7 @@ func TestCompileErrors(t *testing.T) {
 		{"unknown field", `{"source":"int main() { return 0; }","sauce":1}`, http.StatusBadRequest},
 		{"removed engine field", `{"source":"int main() { return 0; }","replication":{"engine":"matrix"}}`, http.StatusBadRequest},
 		{"bad heuristic", `{"source":"int main() { return 0; }","replication":{"heuristic":"frequency"}}`, http.StatusUnprocessableEntity},
+		{"negative maxseq", `{"source":"int main() { return 0; }","replication":{"maxseq":-1}}`, http.StatusBadRequest},
 		{"bad json", `{`, http.StatusBadRequest},
 		{"data after the value", `{"source":"int main() { return 0; }"} {"machine":"vax"} junk`, http.StatusBadRequest},
 		{"whitespace after the value", "{\"source\":\"int main() { return 0; }\"} \r\n\t", http.StatusOK},
@@ -331,12 +332,19 @@ func TestGridValidation(t *testing.T) {
 			t.Errorf("cache_sizes %v: status = %d, want 400 (%s)", sizes, resp.StatusCode, body)
 		}
 	}
+	// So is a negative replication length cap, which would otherwise run
+	// the uncapped default.
+	resp, body := postJSON(t, srv.URL+"/grid", GridRequest{Programs: []string{"queens"},
+		CompileOptions: CompileOptions{Replication: ReplicationOptions{MaxSeqRTLs: -1}}})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("maxseq -1: status = %d, want 400 (%s)", resp.StatusCode, body)
+	}
 	if resp, _ := getBody(t, srv.URL+"/healthz"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz after bad grids = %d", resp.StatusCode)
 	}
 	postOversized(t, srv, "/grid", `{"programs":["queens"]}`, 1)
 	// The smallest and largest sizes are accepted.
-	resp, body := postJSON(t, srv.URL+"/grid", GridRequest{Programs: []string{"queens"}, Caches: true, CacheSizes: []int64{16, 1 << 20}})
+	resp, body = postJSON(t, srv.URL+"/grid", GridRequest{Programs: []string{"queens"}, Caches: true, CacheSizes: []int64{16, 1 << 20}})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("cache_sizes [16, 1<<20]: status = %d, want 202 (%s)", resp.StatusCode, body)
 	}

@@ -337,10 +337,50 @@ type ReplicationOptions struct {
 	// Heuristic picks the candidate order: "", "shortest", "returns" or
 	// "loops".
 	Heuristic string `json:"heuristic,omitempty"`
-	// MaxSeqRTLs caps replicated RTLs per jump (0 = unlimited).
+	// MaxSeqRTLs caps replicated RTLs per jump (0 = unlimited; negative
+	// is a 400).
 	MaxSeqRTLs int `json:"maxseq,omitempty"`
 	// AllowIndirect enables the §6 indirect-jump extension.
 	AllowIndirect bool `json:"indirect,omitempty"`
+}
+
+// CompileOptions is the wire form of pipeline.Spec, which POST /compile,
+// POST /measure and POST /grid all carry; its fields sit at the top level
+// of each body.
+type CompileOptions struct {
+	Replication ReplicationOptions `json:"replication,omitempty"`
+	// VerifyEach runs the semantic IR verifier after every pipeline pass.
+	// Violations, attributed to the offending pass, come back as
+	// structured diagnostics in Static.Verify; in a grid, the first one
+	// fails the job with the violation text as its error.
+	VerifyEach bool `json:"verify_each,omitempty"`
+	// TV runs the translation validator over the duplication engine:
+	// every applied duplication must present a certificate that passes
+	// cut-point bisimulation checking. Rejections come back in
+	// Static.Verify with rule "translation-validation", are counted in the
+	// mccd_tv_rejections_total metric, and fail a grid job.
+	TV bool `json:"tv,omitempty"`
+}
+
+// resolve maps the wire options to the pipeline.Spec the optimizer gets;
+// /compile, /measure and /grid all check their options here.
+func (o CompileOptions) resolve() (pipeline.Spec, error) {
+	h, err := replicate.ParseHeuristic(o.Replication.Heuristic)
+	if err != nil {
+		return pipeline.Spec{}, badRequestf("%v", err)
+	}
+	if err := replicate.CheckMaxSeq(o.Replication.MaxSeqRTLs); err != nil {
+		return pipeline.Spec{}, malformedf("%v", err)
+	}
+	return pipeline.Spec{
+		Replication: replicate.Options{
+			Heuristic:     h,
+			MaxSeqRTLs:    o.Replication.MaxSeqRTLs,
+			AllowIndirect: o.Replication.AllowIndirect,
+		},
+		VerifyEach: o.VerifyEach,
+		TV:         o.TV,
+	}, nil
 }
 
 // Spec is the compile configuration that POST /compile and POST /measure
@@ -351,18 +391,8 @@ type Spec struct {
 	Machine string `json:"machine,omitempty"`
 	// Level is "simple", "loops", "jumps" (default) or "dups", in any
 	// case.
-	Level       string             `json:"level,omitempty"`
-	Replication ReplicationOptions `json:"replication,omitempty"`
-	// VerifyEach runs the semantic IR verifier after every pipeline pass;
-	// any violations (attributed to the offending pass) come back as
-	// structured diagnostics in Static.Verify.
-	VerifyEach bool `json:"verify_each,omitempty"`
-	// TV runs the translation validator over the duplication engine:
-	// every applied duplication must present a certificate that passes
-	// cut-point bisimulation checking. Rejections come back in
-	// Static.Verify with rule "translation-validation" and are counted in
-	// the mccd_tv_rejections_total metric.
-	TV bool `json:"tv,omitempty"`
+	Level string `json:"level,omitempty"`
+	CompileOptions
 }
 
 // resolve maps the wire spelling to the configuration that reaches the
@@ -370,7 +400,7 @@ type Spec struct {
 // of one configuration ("" = "jumps" = "JUMPS", "i386" = "x86",
 // heuristic "" = "shortest") shares one entry.
 func (s Spec) resolve() (pipeline.Config, error) {
-	c := pipeline.Config{Machine: machine.M68020, Level: pipeline.Jumps, VerifyEach: s.VerifyEach, TV: s.TV}
+	c := pipeline.Config{Machine: machine.M68020, Level: pipeline.Jumps}
 	var err error
 	if s.Machine != "" {
 		if c.Machine, err = machine.ByName(s.Machine); err != nil {
@@ -382,16 +412,8 @@ func (s Spec) resolve() (pipeline.Config, error) {
 			return c, badRequestf("%v", err)
 		}
 	}
-	h, err := replicate.ParseHeuristic(s.Replication.Heuristic)
-	if err != nil {
-		return c, badRequestf("%v", err)
-	}
-	c.Replication = replicate.Options{
-		Heuristic:     h,
-		MaxSeqRTLs:    s.Replication.MaxSeqRTLs,
-		AllowIndirect: s.Replication.AllowIndirect,
-	}
-	return c, nil
+	c.Spec, err = s.CompileOptions.resolve()
+	return c, err
 }
 
 // config folds a resolved configuration into a cache key: every value of
@@ -404,6 +426,91 @@ func (b *keyBuilder) config(c pipeline.Config) {
 	b.bool(c.Replication.AllowIndirect)
 	b.bool(c.VerifyEach)
 	b.bool(c.TV)
+}
+
+// Served is the part of a /compile or /measure response that says how
+// the request was served rather than what it computed.
+type Served struct {
+	// Cached reports whether this response was served from the
+	// content-addressed cache.
+	Cached bool `json:"cached"`
+	// ElapsedNS is the wall time of the compile or measurement (0 when
+	// Cached).
+	ElapsedNS int64 `json:"elapsed_ns"`
+	// JobID identifies this request's trace: GET /jobs/{id}/trace and
+	// /jobs/{id}/events replay it while it is retained.
+	JobID string `json:"job_id,omitempty"`
+}
+
+// served gives serve the Served part of either response type.
+func (sv *Served) served() *Served { return sv }
+
+// syncJob is one /compile or /measure request on the path they share:
+// check validates its request-specific fields, key folds them into the
+// cache key after the resolved configuration, and run does a cache miss's
+// work on a worker (c.Tracer is the job's tracer).
+type syncJob[P any] struct {
+	kind     string
+	spec     Spec
+	requests *obs.Counter
+	check    func() error
+	key      func(b *keyBuilder)
+	run      func(c pipeline.Config) (P, error)
+}
+
+// serve is the request path /compile and /measure share: open check,
+// request check, resolve, job, cache lookup, then on a miss the worker
+// pool and a cache store. The response is a private copy, marked cached
+// on a hit and stamped with the job ID; mutating it is safe.
+func serve[R any, P interface {
+	*R
+	served() *Served
+}](ctx context.Context, s *Service, j syncJob[P]) (P, error) {
+	if err := s.checkOpen(); err != nil {
+		return nil, err
+	}
+	if err := j.check(); err != nil {
+		return nil, err
+	}
+	c, err := j.spec.resolve()
+	if err != nil {
+		return nil, err
+	}
+	j.requests.Inc()
+
+	job := newJob(j.kind, 1)
+	tr, err := s.beginJob(job)
+	if err != nil {
+		return nil, err
+	}
+	job.start()
+	c.Tracer = tr
+	meta := jobMeta{kind: j.kind, level: c.Level.String(), machine: c.Machine.Name, tracer: tr}
+
+	b := newKeyBuilder(j.kind)
+	b.config(c)
+	j.key(b)
+	key := b.sum()
+	v, hit := s.lookupCache(key, meta)
+	if !hit {
+		v, err = s.runSync(ctx, meta, func(context.Context) (any, error) { return j.run(c) })
+		if err != nil {
+			s.met.errors.Inc()
+			s.finishJob(job, nil, err)
+			return nil, err
+		}
+		s.cache.Put(key, v)
+	}
+	out := P(new(R))
+	*out = *v.(P)
+	sv := out.served()
+	if hit {
+		sv.Cached, sv.ElapsedNS = true, 0
+	}
+	sv.JobID = job.ID()
+	job.step()
+	s.finishJob(job, out, nil)
+	return out, nil
 }
 
 // CompileRequest is the body of POST /compile.
@@ -424,95 +531,47 @@ type CompileResult struct {
 	// RTLs copied).
 	Static    pipeline.Stats `json:"static"`
 	CodeBytes int64          `json:"code_bytes"`
-	// Cached reports whether this response was served from the
-	// content-addressed cache.
-	Cached bool `json:"cached"`
-	// ElapsedNS is the compile wall time (0 when Cached).
-	ElapsedNS int64 `json:"elapsed_ns"`
-	// JobID identifies this request's trace: GET /jobs/{id}/trace and
-	// /jobs/{id}/events replay it while it is retained.
-	JobID string `json:"job_id,omitempty"`
-}
-
-func compileKey(source string, c pipeline.Config) Key {
-	b := newKeyBuilder("compile")
-	b.str(source)
-	b.config(c)
-	return b.sum()
+	Served
 }
 
 // Compile compiles req through the worker pool, serving repeats from the
 // cache. The returned result is a private copy; mutating it is safe.
 func (s *Service) Compile(ctx context.Context, req CompileRequest) (*CompileResult, error) {
-	if err := s.checkOpen(); err != nil {
-		return nil, err
-	}
-	if req.Source == "" {
-		return nil, badRequestf("missing source")
-	}
-	c, err := req.resolve()
-	if err != nil {
-		return nil, err
-	}
-	s.met.reqCompile.Inc()
-	m := c.Machine
-
-	job := newJob("compile", 1)
-	tr, err := s.beginJob(job)
-	if err != nil {
-		return nil, err
-	}
-	job.start()
-	meta := jobMeta{kind: "compile", level: c.Level.String(), machine: m.Name, tracer: tr}
-	c.Tracer = tr
-
-	key := compileKey(req.Source, c)
-	if v, ok := s.lookupCache(key, meta); ok {
-		out := *v.(*CompileResult)
-		out.Cached = true
-		out.ElapsedNS = 0
-		out.JobID = job.ID()
-		job.step()
-		s.finishJob(job, &out, nil)
-		return &out, nil
-	}
-	v, err := s.runSync(ctx, meta, func(context.Context) (any, error) {
-		start := time.Now() // det:allow nodeterminism — latency/queue telemetry
-		prog, err := mcc.Compile(req.Source)
-		if err != nil {
-			return nil, badRequestf("%v", err)
-		}
-		inputRTLs := 0
-		for _, f := range prog.Funcs {
-			inputRTLs += f.NumRTLs()
-		}
-		optStart := time.Now() // det:allow nodeterminism — latency/queue telemetry
-		st := pipeline.Optimize(prog, c)
-		s.met.observeThroughput(inputRTLs, time.Since(optStart)) // det:allow nodeterminism — latency/queue telemetry
-		s.met.observeVerify(st.Verify)
-		var buf bytes.Buffer
-		if err := asm.Emit(&buf, prog, m); err != nil {
-			return nil, err
-		}
-		return &CompileResult{
-			Machine: m.Name, Level: c.Level.String(),
-			Assembly: buf.String(), Static: st,
-			CodeBytes: vm.NewLayout(prog, m).CodeBytes,
-			ElapsedNS: int64(time.Since(start)), // det:allow nodeterminism — latency/queue telemetry
-		}, nil
+	return serve(ctx, s, syncJob[*CompileResult]{
+		kind: "compile", spec: req.Spec, requests: s.met.reqCompile,
+		check: func() error {
+			if req.Source == "" {
+				return badRequestf("missing source")
+			}
+			return nil
+		},
+		key: func(b *keyBuilder) { b.str(req.Source) },
+		run: func(c pipeline.Config) (*CompileResult, error) {
+			start := time.Now() // det:allow nodeterminism — latency/queue telemetry
+			prog, err := mcc.Compile(req.Source)
+			if err != nil {
+				return nil, badRequestf("%v", err)
+			}
+			inputRTLs := 0
+			for _, f := range prog.Funcs {
+				inputRTLs += f.NumRTLs()
+			}
+			optStart := time.Now() // det:allow nodeterminism — latency/queue telemetry
+			st := pipeline.Optimize(prog, c)
+			s.met.observeThroughput(inputRTLs, time.Since(optStart)) // det:allow nodeterminism — latency/queue telemetry
+			s.met.observeVerify(st.Verify)
+			var buf bytes.Buffer
+			if err := asm.Emit(&buf, prog, c.Machine); err != nil {
+				return nil, err
+			}
+			return &CompileResult{
+				Machine: c.Machine.Name, Level: c.Level.String(),
+				Assembly: buf.String(), Static: st,
+				CodeBytes: vm.NewLayout(prog, c.Machine).CodeBytes,
+				Served:    Served{ElapsedNS: int64(time.Since(start))}, // det:allow nodeterminism — latency/queue telemetry
+			}, nil
+		},
 	})
-	if err != nil {
-		s.met.errors.Inc()
-		s.finishJob(job, nil, err)
-		return nil, err
-	}
-	res := v.(*CompileResult)
-	s.cache.Put(key, res)
-	out := *res
-	out.JobID = job.ID()
-	job.step()
-	s.finishJob(job, &out, nil)
-	return &out, nil
 }
 
 // lookupCache checks the result cache for one sync request, recording
@@ -571,114 +630,69 @@ type MeasureResult struct {
 	Caches []icache.Stats `json:"caches,omitempty"`
 	// Output is the program's output (when requested).
 	Output string `json:"output,omitempty"`
-	Cached bool   `json:"cached"`
-	// ElapsedNS is the measurement wall time (0 when Cached).
-	ElapsedNS int64 `json:"elapsed_ns"`
-	// JobID identifies this request's trace: GET /jobs/{id}/trace and
-	// /jobs/{id}/events replay it while it is retained.
-	JobID string `json:"job_id,omitempty"`
-}
-
-func measureKey(req MeasureRequest, source, input string, c pipeline.Config) Key {
-	b := newKeyBuilder("measure")
-	b.str(source)
-	b.str(input)
-	b.config(c)
-	b.bool(req.Caches)
-	b.bool(req.IncludeOutput)
-	return b.sum()
+	Served
 }
 
 // Measure compiles, runs and measures req through the worker pool,
 // serving repeats from the cache.
 func (s *Service) Measure(ctx context.Context, req MeasureRequest) (*MeasureResult, error) {
-	if err := s.checkOpen(); err != nil {
-		return nil, err
-	}
 	name, source, input := req.Program, req.Source, ""
-	switch {
-	case req.Program != "" && req.Source != "":
-		return nil, badRequestf("give program or source, not both")
-	case req.Program != "":
-		p := bench.ProgramByName(req.Program)
-		if p == nil {
-			return nil, badRequestf("unknown program %q (see GET /programs)", req.Program)
-		}
-		source, input = p.Source, p.Input
-	case req.Source != "":
-		name = "inline"
-	default:
-		return nil, badRequestf("missing program or source")
-	}
-	if req.Input != nil {
-		input = *req.Input
-	}
-	c, err := req.resolve()
-	if err != nil {
-		return nil, err
-	}
-	s.met.reqMeasure.Inc()
-	m, lv := c.Machine, c.Level
-
-	job := newJob("measure", 1)
-	tr, err := s.beginJob(job)
-	if err != nil {
-		return nil, err
-	}
-	job.start()
-	meta := jobMeta{kind: "measure", level: lv.String(), machine: m.Name, tracer: tr}
-
-	key := measureKey(req, source, input, c)
-	if v, ok := s.lookupCache(key, meta); ok {
-		out := *v.(*MeasureResult)
-		out.Cached = true
-		out.ElapsedNS = 0
-		out.JobID = job.ID()
-		job.step()
-		s.finishJob(job, &out, nil)
-		return &out, nil
-	}
-	v, err := s.runSync(ctx, meta, func(context.Context) (any, error) {
-		run, err := ease.Measure(ease.Request{
-			Name: name, Source: source, Input: []byte(input),
-			Machine: m, Level: lv, Replication: c.Replication,
-			SimulateCaches: req.Caches,
-			Tracer:         tr,
-			VerifyEach:     c.VerifyEach,
-			TV:             c.TV,
-		})
-		if err != nil {
-			return nil, badRequestf("%v", err)
-		}
-		s.met.observeThroughput(run.InputRTLs, run.OptimizeElapsed)
-		s.met.observeVerify(run.Static.Verify)
-		out := &MeasureResult{
-			Name: name, Machine: m.Name, Level: lv.String(),
-			Static: run.Static, Dynamic: run.Dynamic,
-			CodeBytes: run.CodeBytes, ExitCode: run.ExitCode,
-			StaticJumpPct:        100 * run.StaticJumpFraction(),
-			DynamicJumpPct:       100 * run.DynamicJumpFraction(),
-			InstsBetweenBranches: run.InstsBetweenBranches(),
-			Caches:               run.Caches,
-			ElapsedNS:            int64(run.Elapsed),
-		}
-		if req.IncludeOutput {
-			out.Output = string(run.Output)
-		}
-		return out, nil
+	return serve(ctx, s, syncJob[*MeasureResult]{
+		kind: "measure", spec: req.Spec, requests: s.met.reqMeasure,
+		check: func() error {
+			switch {
+			case req.Program != "" && req.Source != "":
+				return badRequestf("give program or source, not both")
+			case req.Program != "":
+				p := bench.ProgramByName(req.Program)
+				if p == nil {
+					return badRequestf("unknown program %q (see GET /programs)", req.Program)
+				}
+				source, input = p.Source, p.Input
+			case req.Source != "":
+				name = "inline"
+			default:
+				return badRequestf("missing program or source")
+			}
+			if req.Input != nil {
+				input = *req.Input
+			}
+			return nil
+		},
+		key: func(b *keyBuilder) {
+			b.str(source)
+			b.str(input)
+			b.bool(req.Caches)
+			b.bool(req.IncludeOutput)
+		},
+		run: func(c pipeline.Config) (*MeasureResult, error) {
+			run, err := ease.Measure(ease.Request{
+				Name: name, Source: source, Input: []byte(input),
+				Machine: c.Machine, Level: c.Level, Spec: c.Spec,
+				SimulateCaches: req.Caches,
+				Tracer:         c.Tracer,
+			})
+			if err != nil {
+				return nil, badRequestf("%v", err)
+			}
+			s.met.observeThroughput(run.InputRTLs, run.OptimizeElapsed)
+			s.met.observeVerify(run.Static.Verify)
+			out := &MeasureResult{
+				Name: name, Machine: c.Machine.Name, Level: c.Level.String(),
+				Static: run.Static, Dynamic: run.Dynamic,
+				CodeBytes: run.CodeBytes, ExitCode: run.ExitCode,
+				StaticJumpPct:        100 * run.StaticJumpFraction(),
+				DynamicJumpPct:       100 * run.DynamicJumpFraction(),
+				InstsBetweenBranches: run.InstsBetweenBranches(),
+				Caches:               run.Caches,
+				Served:               Served{ElapsedNS: int64(run.Elapsed)},
+			}
+			if req.IncludeOutput {
+				out.Output = string(run.Output)
+			}
+			return out, nil
+		},
 	})
-	if err != nil {
-		s.met.errors.Inc()
-		s.finishJob(job, nil, err)
-		return nil, err
-	}
-	res := v.(*MeasureResult)
-	s.cache.Put(key, res)
-	out := *res
-	out.JobID = job.ID()
-	job.step()
-	s.finishJob(job, &out, nil)
-	return &out, nil
 }
 
 // jobMeta labels one synchronous job for the latency/queue-wait metric
@@ -748,15 +762,8 @@ type GridRequest struct {
 	// Caches enables the Table-6 cache bank.
 	Caches bool `json:"caches,omitempty"`
 	// CacheSizes overrides the paper's {1,2,4,8} KB bank (bytes).
-	CacheSizes  []int64            `json:"cache_sizes,omitempty"`
-	Replication ReplicationOptions `json:"replication,omitempty"`
-	// VerifyEach runs the semantic IR verifier after every pipeline pass
-	// in every cell; the first violation (attributed to the offending
-	// pass) fails the job with the violation text as its error.
-	VerifyEach bool `json:"verify_each,omitempty"`
-	// TV runs the translation validator over every cell's duplication
-	// engine (see CompileRequest.TV); a rejection fails the job.
-	TV bool `json:"tv,omitempty"`
+	CacheSizes []int64 `json:"cache_sizes,omitempty"`
+	CompileOptions
 	// Tables includes the rendered Tables 3–6 text in the job result.
 	Tables bool `json:"tables,omitempty"`
 }
@@ -811,7 +818,7 @@ func (s *Service) SubmitGrid(req GridRequest) (JobView, error) {
 	if err := s.checkOpen(); err != nil {
 		return JobView{}, err
 	}
-	c, err := Spec{Replication: req.Replication}.resolve()
+	spec, err := req.CompileOptions.resolve()
 	if err != nil {
 		return JobView{}, err
 	}
@@ -850,14 +857,12 @@ func (s *Service) SubmitGrid(req GridRequest) (JobView, error) {
 		job.start()
 		start := time.Now() // det:allow nodeterminism — latency/queue telemetry
 		res, err := bench.RunGrid(ctx, bench.GridConfig{
-			Programs:    progs,
-			Caches:      req.Caches,
-			CacheSizes:  req.CacheSizes,
-			Replication: c.Replication,
-			VerifyEach:  req.VerifyEach,
-			TV:          req.TV,
-			Pool:        s.pool,
-			Tracer:      tr,
+			Programs:   progs,
+			Caches:     req.Caches,
+			CacheSizes: req.CacheSizes,
+			Spec:       spec,
+			Pool:       s.pool,
+			Tracer:     tr,
 			OnCell: func(c *bench.Cell) {
 				job.step()
 				s.met.gridCells.Inc()

@@ -91,7 +91,7 @@ func TestCacheKeyCanonical(t *testing.T) {
 	groups := [][]Spec{
 		// The default level and heuristic, spelled four more ways.
 		{{}, {Level: "jumps"}, {Level: "JUMPS"}, {Level: "Jumps"},
-			{Level: "jumps", Replication: ReplicationOptions{Heuristic: "shortest"}}},
+			{Level: "jumps", CompileOptions: CompileOptions{Replication: ReplicationOptions{Heuristic: "shortest"}}}},
 		// A machine alias.
 		{{Machine: "i386"}, {Machine: "x86"}},
 		// Another level is another compile.
