@@ -7,16 +7,15 @@
 //	ease -file myprog.c -in input.txt
 //	ease -prog wc -trace t.jsonl -explain    # telemetry + narrative
 //	ease -prog wc -fetchtrace fetches.txt    # fetch stream for cmd/cachesim
-//	ease -grid -j 8                          # full Table-3 grid, 8 workers
+//
+// The full Table-3 grid is cmd/tables' job.
 package main
 
 import (
 	"bufio"
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -26,7 +25,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/service"
 )
 
 func main() {
@@ -40,22 +38,13 @@ func main() {
 	showOutput := flag.Bool("output", false, "print the program's output")
 	fetchTraceFile := flag.String("fetchtrace", "", "write the instruction-fetch trace (one `addr size` pair per line) to this file, for cmd/cachesim")
 	traceFile := flag.String("trace", "", "write a JSONL telemetry trace (phase/pass spans, replication decisions, block profile) to this file")
-	explain := flag.Bool("explain", false, "print a human-readable pass/replication narrative to stderr")
-	profile := flag.Bool("profile", false, "print the hottest blocks to stderr")
+	explain := flag.Bool("explain", false, "print a human-readable pass/replication narrative, hot blocks included, to stderr")
 	quiet := flag.Bool("q", false, "suppress the per-cell progress line on stderr")
 	verifyEach := flag.Bool("verify-each", false, "run the semantic IR verifier after every pipeline pass; violations (attributed to the offending pass) abort with exit 1")
 	tvFlag := flag.Bool("tv", false, "validate every applied duplication with the translation validator; rejected certificates abort with exit 1")
-	grid := flag.Bool("grid", false, "measure the full Table-3 grid and print the paper's tables")
-	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "parallel measurement workers for -grid; for a single measurement, per-function optimizer workers (output is identical for every value)")
 	flag.Parse()
 
-	spec := pipeline.Spec{VerifyEach: *verifyEach, TV: *tvFlag}
-	if *grid {
-		runGrid(*caches, *jobs, *quiet, spec)
-		return
-	}
-
-	req := ease.Request{Spec: spec, SimulateCaches: *caches, Profile: *profile, Jobs: *jobs}
+	req := ease.Request{Spec: pipeline.Spec{VerifyEach: *verifyEach, TV: *tvFlag}, SimulateCaches: *caches}
 	switch {
 	case *progName != "":
 		p := bench.ProgramByName(*progName)
@@ -195,13 +184,6 @@ func main() {
 				cs.SizeBytes/1024, ctx, 100*cs.MissRatio(), cs.Cost)
 		}
 	}
-	if *profile && run.Profile != nil {
-		fmt.Fprintln(os.Stderr, "hot blocks (by executed instructions):")
-		for _, h := range run.Profile.Hot(10) {
-			fmt.Fprintf(os.Stderr, "  %-12s %-6s %6.2f%%  (%d entries x %d insts = %d)\n",
-				h.Func, h.Label, 100*h.Frac, h.Count, h.Insts, h.ExecInsts)
-		}
-	}
 	if collector != nil {
 		obs.Explain(os.Stderr, collector.Events())
 	}
@@ -212,37 +194,4 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "fetch trace written to %s\n", *fetchTraceFile)
 	}
-}
-
-// runGrid measures every (program × machine × level) cell through the
-// shared service worker pool and prints the paper's tables. The table
-// bytes are identical for every -j: cells land at preassigned grid
-// positions, and the per-cell progress lines on stderr are serialized by
-// bench.RunGrid (only their order varies with -j > 1).
-func runGrid(caches bool, jobs int, quiet bool, spec pipeline.Spec) {
-	pool := service.NewPool(jobs, 0)
-	var progress *os.File
-	if !quiet {
-		progress = os.Stderr
-	}
-	start := time.Now()
-	res, err := bench.RunGrid(context.Background(), bench.GridConfig{
-		Caches:   caches,
-		Spec:     spec,
-		Progress: progress,
-		Pool:     pool,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ease:", err)
-		os.Exit(1)
-	}
-	if err := pool.Shutdown(context.Background()); err != nil {
-		fmt.Fprintln(os.Stderr, "ease:", err)
-		os.Exit(1)
-	}
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "ease: %d cells with %d workers in %s\n",
-			len(res.Cells), pool.Workers(), time.Since(start).Round(time.Millisecond))
-	}
-	res.WriteAll(os.Stdout, caches)
 }

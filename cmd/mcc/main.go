@@ -7,9 +7,11 @@
 //	mcc -S prog.c                     # emit target assembly syntax
 //	mcc -listing -machine x86 prog.c  # encoded listing: offsets, sizes, short/near forms
 //	mcc -dot prog.c | dot -Tsvg ...   # flow graph in Graphviz form
-//	mcc -run -in input.txt prog.c     # also execute and report counts
 //	mcc -trace t.jsonl -stats prog.c  # telemetry: pass spans + decisions
 //	mcc -explain prog.c               # replication narrative on stderr
+//
+// Running the program and measuring it is cmd/ease's job
+// (ease -file prog.c -in input.txt).
 package main
 
 import (
@@ -25,7 +27,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/replicate"
-	"repro/internal/vm"
 )
 
 func main() {
@@ -36,17 +37,13 @@ func main() {
 	emitAsm := flag.Bool("S", false, "emit target assembly syntax instead of RTLs")
 	emitListing := flag.Bool("listing", false, "emit an encoded assembly listing (byte offsets and sizes from internal/encode)")
 	emitDot := flag.Bool("dot", false, "emit the flow graph in Graphviz dot form")
-	run := flag.Bool("run", false, "execute the optimized program")
-	inFile := flag.String("in", "", "input file for -run (default: empty input)")
 	maxSeq := flag.Int("maxseq", 0, "cap replication sequences at this many RTLs")
 	traceFile := flag.String("trace", "", "write a telemetry trace (pass spans, replication decisions) to this file")
 	traceFormat := flag.String("trace-format", "jsonl", "trace format: jsonl (one event per line) or chrome (about://tracing)")
 	stats := flag.Bool("stats", false, "print optimization statistics to stderr")
 	explain := flag.Bool("explain", false, "print a human-readable pass/replication narrative to stderr")
-	profile := flag.Bool("profile", false, "with -run: print the hottest blocks to stderr")
 	verifyEach := flag.Bool("verify-each", false, "run the semantic IR verifier after every pipeline pass; violations (attributed to the offending pass) abort with exit 1")
 	tvFlag := flag.Bool("tv", false, "validate every applied duplication with the translation validator; rejected certificates abort with exit 1")
-	jobs := flag.Int("j", 0, "optimize up to this many functions concurrently (0 = GOMAXPROCS, 1 = serial); output is identical for every value")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: mcc [flags] file.c")
@@ -81,6 +78,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mcc:", err)
 		os.Exit(2)
 	}
+	if *traceFormat != "jsonl" && *traceFormat != "chrome" {
+		fmt.Fprintf(os.Stderr, "mcc: unknown trace format %q (want jsonl or chrome)\n", *traceFormat)
+		os.Exit(2)
+	}
 
 	// Telemetry: an optional file sink (JSONL or Chrome trace_event) plus
 	// an in-memory collector backing -explain. Nil when neither is asked
@@ -97,8 +98,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "mcc:", err)
 			os.Exit(1)
 		}
-		switch *traceFormat {
-		case "jsonl":
+		if *traceFormat == "jsonl" {
 			jw := obs.NewJSONLWriter(f)
 			fileSink = jw
 			finishTrace = func() error {
@@ -107,7 +107,7 @@ func main() {
 				}
 				return f.Close()
 			}
-		case "chrome":
+		} else {
 			cw := obs.NewChromeWriter(f)
 			fileSink = cw
 			finishTrace = func() error {
@@ -116,9 +116,6 @@ func main() {
 				}
 				return f.Close()
 			}
-		default:
-			fmt.Fprintf(os.Stderr, "mcc: unknown trace format %q (want jsonl or chrome)\n", *traceFormat)
-			os.Exit(2)
 		}
 	}
 	var tracer obs.Tracer
@@ -137,7 +134,6 @@ func main() {
 			TV:          *tvFlag,
 		},
 		Tracer: tracer,
-		Jobs:   *jobs,
 	})
 	if len(st.Verify) > 0 {
 		for _, v := range st.Verify {
@@ -179,30 +175,5 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "mcc: trace written to %s\n", *traceFile)
-	}
-	if !*run {
-		return
-	}
-	var input []byte
-	if *inFile != "" {
-		if input, err = os.ReadFile(*inFile); err != nil {
-			fmt.Fprintln(os.Stderr, "mcc:", err)
-			os.Exit(1)
-		}
-	}
-	res, err := vm.Run(prog, vm.Config{Input: input, Profile: *profile})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mcc:", err)
-		os.Exit(1)
-	}
-	os.Stdout.Write(res.Output)
-	fmt.Printf("\n; executed %d instructions (%d unconditional jumps), exit %d\n",
-		res.Counts.Exec, res.Counts.UncondJumps, res.ExitCode)
-	if *profile && res.Profile != nil {
-		fmt.Fprintln(os.Stderr, "mcc: hot blocks (by executed instructions):")
-		for _, h := range res.Profile.Hot(10) {
-			fmt.Fprintf(os.Stderr, "  %-12s %-6s %6.2f%%  (%d entries x %d insts = %d)\n",
-				h.Func, h.Label, 100*h.Frac, h.Count, h.Insts, h.ExecInsts)
-		}
 	}
 }

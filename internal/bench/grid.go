@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -36,8 +37,8 @@ type GridConfig struct {
 	// Progress, when non-nil, receives one line per completed cell.
 	// Writes are serialized, so any io.Writer is safe.
 	Progress io.Writer
-	// Pool, when non-nil, runs cells concurrently through the shared
-	// worker pool; nil runs them sequentially on the calling goroutine.
+	// Pool runs the cells (required). A one-worker pool measures them one
+	// at a time in grid order.
 	Pool Pool
 	// OnCell, when non-nil, is called (serialized) after each completed
 	// cell — the daemon uses it for job progress and latency metrics.
@@ -80,11 +81,14 @@ type cellSpec struct {
 }
 
 // RunGrid measures every (program × machine × level) cell of the
-// configured grid. Results are identical with and without a Pool, byte
-// for byte: cells are preassigned slice positions in canonical order, so
-// concurrency changes only the wall-clock time and the order of progress
-// lines.
+// configured grid through cfg.Pool. Results are identical for every pool
+// size, byte for byte: cells are preassigned slice positions in canonical
+// order, so concurrency changes only the wall-clock time and the order of
+// progress lines.
 func RunGrid(ctx context.Context, cfg GridConfig) (*Results, error) {
+	if cfg.Pool == nil {
+		return nil, errors.New("bench: RunGrid needs a Pool")
+	}
 	progs := cfg.Programs
 	if progs == nil {
 		progs = Programs()
@@ -171,40 +175,27 @@ func RunGrid(ctx context.Context, cfg GridConfig) (*Results, error) {
 		mu.Unlock()
 	}
 
-	if cfg.Pool == nil {
-		for i := range specs {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			runCell(i, 0)
-			if firstErr != nil {
-				return nil, firstErr
-			}
+	var wg sync.WaitGroup
+	for i := range specs {
+		if ctx.Err() != nil {
+			break
 		}
-	} else {
-		var wg sync.WaitGroup
-		for i := range specs {
+		wg.Add(1)
+		submitted := time.Now() // det:allow nodeterminism — queue-wait telemetry
+		err := cfg.Pool.Submit(ctx, func(ctx context.Context) {
+			defer wg.Done()
 			if ctx.Err() != nil {
-				break
+				return
 			}
-			i := i
-			wg.Add(1)
-			submitted := time.Now() // det:allow nodeterminism — queue-wait telemetry
-			err := cfg.Pool.Submit(ctx, func(ctx context.Context) {
-				defer wg.Done()
-				if ctx.Err() != nil {
-					return
-				}
-				runCell(i, time.Since(submitted)) // det:allow nodeterminism — queue-wait telemetry
-			})
-			if err != nil {
-				wg.Done()
-				fail(err)
-				break
-			}
+			runCell(i, time.Since(submitted)) // det:allow nodeterminism — queue-wait telemetry
+		})
+		if err != nil {
+			wg.Done()
+			fail(err)
+			break
 		}
-		wg.Wait()
 	}
+	wg.Wait()
 	if firstErr != nil {
 		return nil, firstErr
 	}

@@ -27,18 +27,26 @@ func subset(t *testing.T, names ...string) []bench.Program {
 	return out
 }
 
+// newPool starts a service worker pool that the test shuts down when it
+// ends.
+func newPool(t *testing.T, workers int) *service.Pool {
+	t.Helper()
+	pool := service.NewPool(workers, 0)
+	t.Cleanup(func() { pool.Shutdown(context.Background()) })
+	return pool
+}
+
 // TestRunGridParallelMatchesSequential renders the full table set from a
-// sequential run and a 4-worker pool run and requires byte identity —
-// the acceptance bar for the -j flag.
+// 1-worker pool run (one cell at a time, in grid order) and a 4-worker
+// pool run and requires byte identity — the acceptance bar for the -j
+// flag.
 func TestRunGridParallelMatchesSequential(t *testing.T) {
 	progs := subset(t, "queens", "sieve", "bubblesort")
-	seq, err := bench.RunGrid(context.Background(), bench.GridConfig{Programs: progs})
+	seq, err := bench.RunGrid(context.Background(), bench.GridConfig{Programs: progs, Pool: newPool(t, 1)})
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
-	pool := service.NewPool(4, 0)
-	defer pool.Shutdown(context.Background())
-	par, err := bench.RunGrid(context.Background(), bench.GridConfig{Programs: progs, Pool: pool})
+	par, err := bench.RunGrid(context.Background(), bench.GridConfig{Programs: progs, Pool: newPool(t, 4)})
 	if err != nil {
 		t.Fatalf("parallel: %v", err)
 	}
@@ -66,11 +74,9 @@ func TestRunGridParallelMatchesSequential(t *testing.T) {
 // complete.
 func TestRunGridProgressSerialized(t *testing.T) {
 	var progress bytes.Buffer
-	pool := service.NewPool(4, 0)
-	defer pool.Shutdown(context.Background())
 	_, err := bench.RunGrid(context.Background(), bench.GridConfig{
 		Programs: subset(t, "queens", "sieve"),
-		Pool:     pool,
+		Pool:     newPool(t, 4),
 		Progress: &progress,
 	})
 	if err != nil {
@@ -93,6 +99,7 @@ func TestRunGridOnCell(t *testing.T) {
 	var n int
 	_, err := bench.RunGrid(context.Background(), bench.GridConfig{
 		Programs: subset(t, "queens"),
+		Pool:     newPool(t, 1),
 		OnCell: func(c *bench.Cell) {
 			n++
 			if c.Run == nil || c.Run.Dynamic.Exec == 0 {
@@ -110,26 +117,29 @@ func TestRunGridOnCell(t *testing.T) {
 }
 
 // TestRunGridVerifyEach runs a slice of the grid with the semantic
-// verifier after every pipeline pass: a healthy pipeline must survive
-// every cell, and the measurements must match a plain run (verification
-// observes, never rewrites).
+// verifier after every pipeline pass and every applied duplication
+// proof-checked by TV, as `tables -verify-each -tv` does: a healthy
+// pipeline must survive every cell, and the measurements must match a
+// plain run (verification observes, never rewrites).
 func TestRunGridVerifyEach(t *testing.T) {
 	progs := subset(t, "queens", "sieve")
-	plain, err := bench.RunGrid(context.Background(), bench.GridConfig{Programs: progs})
+	pool := newPool(t, 1)
+	plain, err := bench.RunGrid(context.Background(), bench.GridConfig{Programs: progs, Pool: pool})
 	if err != nil {
 		t.Fatalf("plain: %v", err)
 	}
 	verified, err := bench.RunGrid(context.Background(), bench.GridConfig{
 		Programs: progs,
-		Spec:     pipeline.Spec{VerifyEach: true},
+		Spec:     pipeline.Spec{VerifyEach: true, TV: true},
+		Pool:     pool,
 	})
 	if err != nil {
-		t.Fatalf("verify-each grid failed: %v", err)
+		t.Fatalf("verify-each + TV grid failed: %v", err)
 	}
 	for i := range plain.Cells {
 		p, v := plain.Cells[i], verified.Cells[i]
 		if p.Run.Dynamic != v.Run.Dynamic || p.Run.CodeBytes != v.Run.CodeBytes {
-			t.Fatalf("cell %d: verify-each changed the measurement", i)
+			t.Fatalf("cell %d: verify-each + TV changed the measurement", i)
 		}
 	}
 }
@@ -139,6 +149,7 @@ func TestRunGridCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	n := 0
 	_, err := bench.RunGrid(ctx, bench.GridConfig{
+		Pool: newPool(t, 1),
 		OnCell: func(*bench.Cell) {
 			n++
 			if n == 2 {
@@ -156,6 +167,7 @@ func TestRunGridCancel(t *testing.T) {
 func TestResultsGetIndexed(t *testing.T) {
 	res, err := bench.RunGrid(context.Background(), bench.GridConfig{
 		Programs: subset(t, "queens", "sieve"),
+		Pool:     newPool(t, 1),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -180,23 +192,26 @@ func TestResultsGetIndexed(t *testing.T) {
 }
 
 // TestRunGridBadCacheSize runs a cell whose cache bank cannot be built
-// (1000 bytes is not a power of two) through a pool: the cell's panic
-// must come back as the grid's error, with no result.
+// (1000 bytes is not a power of two) through 1- and 2-worker pools: the
+// cell's panic must come back as the grid's error, with no result. A grid
+// without a pool is an error too.
 func TestRunGridBadCacheSize(t *testing.T) {
-	pool := service.NewPool(2, 0)
-	defer pool.Shutdown(context.Background())
-	for _, p := range []bench.Pool{nil, pool} {
-		res, err := bench.RunGrid(context.Background(), bench.GridConfig{
-			Programs:   subset(t, "queens"),
-			Caches:     true,
-			CacheSizes: []int64{1000},
-			Pool:       p,
-		})
+	cfg := bench.GridConfig{
+		Programs:   subset(t, "queens"),
+		Caches:     true,
+		CacheSizes: []int64{1000},
+	}
+	if res, err := bench.RunGrid(context.Background(), cfg); err == nil || res != nil || !strings.Contains(err.Error(), "Pool") {
+		t.Fatalf("nil Pool: RunGrid = %v, %v; want the missing-Pool error and no result", res, err)
+	}
+	for _, workers := range []int{1, 2} {
+		cfg.Pool = newPool(t, workers)
+		res, err := bench.RunGrid(context.Background(), cfg)
 		if err == nil || res != nil {
-			t.Fatalf("pool %v: RunGrid = %v, %v; want an error and no result", p != nil, res, err)
+			t.Fatalf("%d workers: RunGrid = %v, %v; want an error and no result", workers, res, err)
 		}
 		if !strings.Contains(err.Error(), "bad geometry 1000") {
-			t.Errorf("pool %v: err = %v, want the bank's geometry error", p != nil, err)
+			t.Errorf("%d workers: err = %v, want the bank's geometry error", workers, err)
 		}
 	}
 }

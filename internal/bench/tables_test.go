@@ -56,7 +56,9 @@ func TestTablesRenderEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full grid measurement")
 	}
-	res, err := bench.RunGrid(context.Background(), bench.GridConfig{Caches: true, CacheSizes: []int64{256}})
+	res, err := bench.RunGrid(context.Background(), bench.GridConfig{
+		Caches: true, CacheSizes: []int64{256}, Pool: newPool(t, 1),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

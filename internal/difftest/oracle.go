@@ -9,7 +9,6 @@ import (
 	"repro/internal/mcc"
 	"repro/internal/pipeline"
 	"repro/internal/replicate"
-	"repro/internal/rtl"
 	"repro/internal/verify"
 	"repro/internal/vm"
 )
@@ -327,12 +326,12 @@ func residualReplicableJump(prog *cfg.Program, opts replicate.Options) string {
 			continue
 		}
 		clone := f.Clone()
-		before := countJumps(clone)
+		before := replicate.ProfitJumps.Metric(clone)
 		if before == 0 {
 			continue
 		}
 		replicate.JUMPS(clone, opts)
-		if after := countJumps(clone); after < before {
+		if after := replicate.ProfitJumps.Metric(clone); after < before {
 			return fmt.Sprintf("function %s: %d unconditional jumps, replication would leave %d",
 				f.Name, before, after)
 		}
@@ -346,19 +345,6 @@ func residualReplicableJump(prog *cfg.Program, opts replicate.Options) string {
 func capped(f *cfg.Func, opts replicate.Options) bool {
 	// Within 25% of the RTL budget the pipeline may stop replicating.
 	return f.NumRTLs()*4 >= opts.MaxFuncRTLs*3
-}
-
-// countJumps counts static unconditional direct jumps.
-func countJumps(f *cfg.Func) int {
-	n := 0
-	for _, b := range f.Blocks {
-		for ii := range b.Insts {
-			if b.Insts[ii].Kind == rtl.Jmp {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 func clip(b []byte) string {

@@ -44,13 +44,6 @@ type Request struct {
 	// replication decision log, and the VM execution profile (per-block
 	// counts plus a hot-path summary). Nil disables tracing.
 	Tracer obs.Tracer
-	// Profile enables per-block execution counting in the VM; implied by
-	// Tracer. The counts are returned in Run.Profile.
-	Profile bool
-	// Jobs bounds per-function parallelism inside the optimizer
-	// (pipeline.Config.Jobs): 0 = GOMAXPROCS, 1 = serial. Output is
-	// identical for every value.
-	Jobs int
 }
 
 // Run is the outcome of one measurement.
@@ -64,9 +57,6 @@ type Run struct {
 	// {1,2,4,8} KB × context switches {on, off} in cache.NewPaperBank
 	// order.
 	Caches []cache.Stats
-	// Profile holds the VM's per-block execution counts (nil unless
-	// Request.Profile or Request.Tracer was set).
-	Profile *vm.Profile
 	// Elapsed is the wall time of the whole measurement (compile through
 	// run), for progress reporting.
 	Elapsed time.Duration
@@ -145,7 +135,6 @@ func MeasureProgram(prog *cfg.Program, req Request) (*Run, error) {
 		Level:   req.Level,
 		Spec:    req.Spec,
 		Tracer:  req.Tracer,
-		Jobs:    req.Jobs,
 	})
 	optimizeElapsed := time.Since(start) // det:allow nodeterminism — phase/elapsed telemetry
 	phaseSpan(req.Tracer, "optimize", start)
@@ -154,7 +143,7 @@ func MeasureProgram(prog *cfg.Program, req Request) (*Run, error) {
 	phaseSpan(req.Tracer, "layout", layoutStart)
 	cfgr := vm.Config{
 		Input:   req.Input,
-		Profile: req.Profile || req.Tracer != nil,
+		Profile: req.Tracer != nil,
 	}
 	var bank *cache.Bank
 	var fetch func(addr, size int64)
@@ -194,7 +183,6 @@ func MeasureProgram(prog *cfg.Program, req Request) (*Run, error) {
 		CodeBytes:       layout.CodeBytes,
 		Output:          res.Output,
 		ExitCode:        res.ExitCode,
-		Profile:         res.Profile,
 		Elapsed:         time.Since(start), // det:allow nodeterminism — phase/elapsed telemetry
 		InputRTLs:       inputRTLs,
 		OptimizeElapsed: optimizeElapsed,

@@ -120,9 +120,8 @@ func applyGuarded(f *cfg.Func, opts Options, edit func(*undoLog)) bool {
 const maxFutile = 16
 
 // budget tracks the §5.2 growth caps for one duplication pass over one
-// function: a bound on applied duplications, a function-size ceiling, and —
-// when a profitability model is attached — the futility cutoff on that
-// model's metric.
+// function: a bound on applied duplications, a function-size ceiling, and
+// the futility cutoff on the pass's profitability metric.
 type budget struct {
 	opts   Options
 	profit Profit
@@ -132,14 +131,9 @@ type budget struct {
 }
 
 // newBudget opens a budget for one pass over f driven by the given
-// profitability model (nil disables the futility cutoff for passes whose
-// every application makes strict progress by construction).
+// profitability model.
 func newBudget(f *cfg.Func, opts Options, p Profit) *budget {
-	g := &budget{opts: opts, profit: p}
-	if p != nil {
-		g.best = p.Metric(f)
-	}
-	return g
+	return &budget{opts: opts, profit: p, best: p.Metric(f)}
 }
 
 // exhausted reports whether the pass must stop: duplication bound reached,
@@ -154,9 +148,6 @@ func (g *budget) exhausted(f *cfg.Func) bool {
 // metric for the futility cutoff.
 func (g *budget) spent(f *cfg.Func) {
 	g.reps++
-	if g.profit == nil {
-		return
-	}
 	if now := g.profit.Metric(f); now < g.best {
 		g.best = now
 		g.futile = 0

@@ -230,7 +230,4 @@ func TestProfitModels(t *testing.T) {
 	if got := ProfitFolds.Metric(f); got != 2 {
 		t.Errorf("ProfitFolds = %d, want 2", got)
 	}
-	if ProfitJumps.Name() == ProfitFolds.Name() {
-		t.Error("profit models must have distinct names")
-	}
 }

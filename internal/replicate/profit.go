@@ -8,8 +8,6 @@ import "repro/internal/cfg"
 // duplication and cuts the pass off (§5.2 conservatism) once maxFutile
 // consecutive applications stop lowering it.
 type Profit interface {
-	// Name identifies the model in traces and tests.
-	Name() string
 	// Metric returns the model's current static count for f; lower is
 	// better, and a pass that stops lowering it is cut off.
 	Metric(f *cfg.Func) int
@@ -23,8 +21,6 @@ var ProfitJumps Profit = profitJumps{}
 
 type profitJumps struct{}
 
-func (profitJumps) Name() string { return "jumps" }
-
 func (profitJumps) Metric(f *cfg.Func) int { return countJumps(f) }
 
 // ProfitFolds is the DUPS objective: the number of decided predecessor
@@ -37,7 +33,5 @@ func (profitJumps) Metric(f *cfg.Func) int { return countJumps(f) }
 var ProfitFolds Profit = profitFolds{}
 
 type profitFolds struct{}
-
-func (profitFolds) Name() string { return "folds" }
 
 func (profitFolds) Metric(f *cfg.Func) int { return countDecidedEdges(f) }

@@ -289,9 +289,9 @@ func TestMetricsLintAndLabeledSeries(t *testing.T) {
 }
 
 // TestGridTablesDeterministicWithRecorder: the rendered tables of a
-// traced, pooled grid run are byte-identical to a sequential, untraced
-// bench.RunGrid — tracing and the flight recorder observe without
-// perturbing.
+// traced, pooled grid run are byte-identical to an untraced
+// bench.RunGrid on a one-worker pool — tracing and the flight recorder
+// observe without perturbing.
 func TestGridTablesDeterministicWithRecorder(t *testing.T) {
 	s, srv := newTestService(t)
 	resp, data := postJSON(t, srv.URL+"/grid",
@@ -324,8 +324,11 @@ func TestGridTablesDeterministicWithRecorder(t *testing.T) {
 	}{{"queens", &queens}, {"wc", &wc}} {
 		*p.dst = bench.ProgramByName(p.name)
 	}
+	pool := NewPool(1, 0)
+	defer pool.Shutdown(context.Background())
 	seq, err := bench.RunGrid(context.Background(), bench.GridConfig{
 		Programs: []bench.Program{*queens, *wc},
+		Pool:     pool,
 	})
 	if err != nil {
 		t.Fatal(err)
