@@ -50,20 +50,8 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	src, err := os.ReadFile(flag.Arg(0))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mcc:", err)
-		os.Exit(1)
-	}
-	prog, err := mcc.Compile(string(src))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mcc:", err)
-		os.Exit(1)
-	}
-	if *dumpNaive {
-		fmt.Print(prog)
-		return
-	}
+	// Every flag is checked before the file is read, so a bad value is a
+	// usage error with every mode, -dump-naive included.
 	m, err := machine.ByName(*machName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mcc:", err)
@@ -81,6 +69,20 @@ func main() {
 	if *traceFormat != "jsonl" && *traceFormat != "chrome" {
 		fmt.Fprintf(os.Stderr, "mcc: unknown trace format %q (want jsonl or chrome)\n", *traceFormat)
 		os.Exit(2)
+	}
+	src, err := os.ReadFile(flag.Arg(0))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mcc:", err)
+		os.Exit(1)
+	}
+	prog, err := mcc.Compile(string(src))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mcc:", err)
+		os.Exit(1)
+	}
+	if *dumpNaive {
+		fmt.Print(prog)
+		return
 	}
 
 	// Telemetry: an optional file sink (JSONL or Chrome trace_event) plus

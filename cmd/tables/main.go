@@ -44,11 +44,8 @@ func main() {
 	tvFlag := flag.Bool("tv", false, "validate every applied duplication with the translation validator; rejected certificates abort with exit 1")
 	flag.Parse()
 
-	if *list {
-		bench.Table3(os.Stdout)
-		return
-	}
-
+	// Every flag is checked before -list prints, so a bad value is a usage
+	// error in every mode.
 	write, known := tableWriters[*table]
 	if !known && *table != "cap" {
 		fmt.Fprintf(os.Stderr, "tables: unknown table %q (want 4, 5, 6, 6s, branchdist or cap)\n", *table)
@@ -62,6 +59,10 @@ func main() {
 	if err := replicate.CheckMaxSeq(*maxSeq); err != nil {
 		fmt.Fprintf(os.Stderr, "tables: %v\n", err)
 		os.Exit(2)
+	}
+	if *list {
+		bench.Table3(os.Stdout)
+		return
 	}
 	spec := pipeline.Spec{
 		Replication: replicate.Options{Heuristic: h, MaxSeqRTLs: *maxSeq, AllowIndirect: *indirect},

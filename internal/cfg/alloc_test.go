@@ -1,6 +1,7 @@
 package cfg
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/rtl"
@@ -70,5 +71,42 @@ func TestAllocsScratchBuffers(t *testing.T) {
 	})
 	if got != 0 {
 		t.Errorf("warm Words/Ints cycle allocates %.0f times, want 0", got)
+	}
+}
+
+// TestAllocsGrowingFunction pins the arena's headroom. Replication grows a
+// function by a block or so per step and re-runs the analyses after each,
+// so buffers sized to the exact block count would be reallocated by every
+// cycle. Over 64 cycles that each see one block more, the allocations
+// beyond each cycle's fixed descriptors must stay logarithmic.
+func TestAllocsGrowingFunction(t *testing.T) {
+	const base, steps = 64, 64
+	for _, tc := range []struct {
+		name  string
+		cycle func(*Func)
+	}{
+		{"ComputeEdges", func(f *Func) { ComputeEdges(f).Release() }},
+		{"IsReducible", func(f *Func) { IsReducible(f) }},
+		{"RemoveUnreachable", func(f *Func) { RemoveUnreachable(f) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := buildChainLoop(base + steps)
+			all := f.Blocks
+			f.Blocks = all[:base]
+			tc.cycle(f) // warm the arena
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 1; i <= steps; i++ {
+				f.Blocks = all[:base+i]
+				tc.cycle(f)
+			}
+			runtime.ReadMemStats(&after)
+			fixed := testing.AllocsPerRun(10, func() { tc.cycle(f) })
+			grown := float64(after.Mallocs-before.Mallocs) - steps*fixed
+			t.Logf("%.0f allocations beyond %.0f fixed per cycle", grown, fixed)
+			if grown > 16 {
+				t.Errorf("%d cycles, one block more each: %.0f allocations beyond the %.0f fixed per cycle, want at most 16", steps, grown, fixed)
+			}
+		})
 	}
 }

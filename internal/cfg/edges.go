@@ -57,12 +57,13 @@ func (e *Edges) Release() {
 	e.F.Scratch().putEdges(e)
 }
 
-// grow32 returns buf resized to length n, reallocating only when needed.
+// grow32 returns buf resized to length n, reallocating (with headroom) only
+// when needed.
 func grow32(buf []int32, n int) []int32 {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
-	return make([]int32, n)
+	return make([]int32, n, headroom(n))
 }
 
 func (e *Edges) build(f *Func) {
@@ -141,12 +142,12 @@ func (e *Edges) build(f *Func) {
 	// Pass 2: materialize the lists. flat holds the successor half followed
 	// by the predecessor half; hdrs holds the per-block slice headers.
 	if cap(e.flat) < 2*nEdges {
-		e.flat = make([]*Block, 2*nEdges)
+		e.flat = make([]*Block, 2*nEdges, headroom(2*nEdges))
 	} else {
 		e.flat = e.flat[:2*nEdges]
 	}
 	if cap(e.hdrs) < 2*n {
-		e.hdrs = make([][]*Block, 2*n)
+		e.hdrs = make([][]*Block, 2*n, headroom(2*n))
 	} else {
 		e.hdrs = e.hdrs[:2*n]
 	}

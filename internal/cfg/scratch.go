@@ -18,6 +18,12 @@ type Scratch struct {
 	edges []*Edges
 }
 
+// headroom is the capacity an arena buffer is allocated with when n
+// elements no longer fit. The optimizer grows a function a block or so at a
+// time (each replication, each fold), so buffers sized exactly would be
+// reallocated by the very next analysis.
+func headroom(n int) int { return n + n/2 }
+
 // Scratch returns the function's scratch arena, creating it on first use.
 func (f *Func) Scratch() *Scratch {
 	if f.scratch == nil {
@@ -40,7 +46,7 @@ func (s *Scratch) Words(n int) []uint64 {
 			return buf
 		}
 	}
-	return make([]uint64, n)
+	return make([]uint64, n, headroom(n))
 }
 
 // PutWords returns a buffer borrowed with Words.
@@ -60,7 +66,7 @@ func (s *Scratch) Ints(n int) []int32 {
 			return buf[:n]
 		}
 	}
-	return make([]int32, n)
+	return make([]int32, n, headroom(n))
 }
 
 // PutInts returns a buffer borrowed with Ints.

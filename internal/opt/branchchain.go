@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"slices"
+
 	"repro/internal/cfg"
 	"repro/internal/rtl"
 )
@@ -65,6 +67,8 @@ func BranchChaining(f *cfg.Func) bool {
 // instructions are appended to b and s is removed. This welds replicated
 // sequences onto their origin so that local value numbering sees across the
 // seam (the paper's §3.3.2 interactions). Reports whether anything changed.
+// Each merge's edge lists go back to the function's Scratch, so a chain of
+// merges reuses one set of buffers.
 func MergeBlocks(f *cfg.Func) bool {
 	changed := false
 	for {
@@ -100,11 +104,13 @@ func MergeBlocks(f *cfg.Func) bool {
 				continue // fall-through must be positional
 			}
 			b.Insts = append(b.Insts, s.Insts...)
-			f.RemoveBlocks(map[rtl.Label]bool{s.Label: true})
+			f.Blocks = slices.Delete(f.Blocks, s.Index, s.Index+1)
+			f.Renumber()
 			merged = true
 			changed = true
 			break
 		}
+		e.Release()
 		if !merged {
 			return changed
 		}

@@ -733,6 +733,9 @@ func spillReg(f *cfg.Func, r rtl.Reg, temps regSet) {
 	slot := int64(f.NLocals)
 	f.NLocals++
 	for _, b := range f.Blocks {
+		if !mentionsReg(b, r) {
+			continue
+		}
 		var out []rtl.Inst
 		for ii := range b.Insts {
 			in := b.Insts[ii]
@@ -787,6 +790,9 @@ func rematerialize(f *cfg.Func, r rtl.Reg, temps regSet) bool {
 		return false
 	}
 	for _, b := range f.Blocks {
+		if !mentionsReg(b, r) {
+			continue
+		}
 		var out []rtl.Inst
 		for ii := range b.Insts {
 			in := b.Insts[ii]
@@ -806,4 +812,15 @@ func rematerialize(f *cfg.Func, r rtl.Reg, temps regSet) bool {
 		b.Insts = out
 	}
 	return true
+}
+
+// mentionsReg reports whether any instruction of b reads or defines r: the
+// spill rewrites leave every other block's instructions as they are.
+func mentionsReg(b *cfg.Block, r rtl.Reg) bool {
+	for ii := range b.Insts {
+		if in := &b.Insts[ii]; regReads(in, r) || instDef(in) == r {
+			return true
+		}
+	}
+	return false
 }

@@ -121,19 +121,20 @@ const maxFutile = 16
 
 // budget tracks the §5.2 growth caps for one duplication pass over one
 // function: a bound on applied duplications, a function-size ceiling, and
-// the futility cutoff on the pass's profitability metric.
+// the futility cutoff on the pass's profitability metric. The pass supplies
+// the metric's values: JUMPS recounts ProfitJumps, DUPS keeps a running
+// ProfitFolds count.
 type budget struct {
 	opts   Options
-	profit Profit
 	reps   int
 	futile int
 	best   int
 }
 
-// newBudget opens a budget for one pass over f driven by the given
-// profitability model.
-func newBudget(f *cfg.Func, opts Options, p Profit) *budget {
-	return &budget{opts: opts, profit: p, best: p.Metric(f)}
+// newBudget opens a budget for one pass whose profitability metric reads
+// metric when the pass starts.
+func newBudget(opts Options, metric int) *budget {
+	return &budget{opts: opts, best: metric}
 }
 
 // exhausted reports whether the pass must stop: duplication bound reached,
@@ -144,11 +145,11 @@ func (g *budget) exhausted(f *cfg.Func) bool {
 		f.NumRTLs() > g.opts.maxFuncRTLs()
 }
 
-// spent accounts one applied duplication and re-evaluates the profitability
-// metric for the futility cutoff.
-func (g *budget) spent(f *cfg.Func) {
+// spent accounts one applied duplication, after which the pass's
+// profitability metric reads now, for the futility cutoff.
+func (g *budget) spent(now int) {
 	g.reps++
-	if now := g.profit.Metric(f); now < g.best {
+	if now < g.best {
 		g.best = now
 		g.futile = 0
 	} else {

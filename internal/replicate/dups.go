@@ -44,16 +44,34 @@ func DUPS(f *cfg.Func, opts Options) Result {
 // edges are blacklisted for the invocation, so each sweep makes strict
 // progress on the ProfitFolds metric or terminates the pass.
 func condElim(f *cfg.Func, opts Options) Result {
-	var res Result
-	blacklist := map[jumpKey]bool{}
-	g := newBudget(f, opts, ProfitFolds)
-	for !g.exhausted(f) {
-		if foldSweep(f, opts, g, blacklist, &res) == 0 {
+	c := newFolder(f, opts)
+	for !c.g.exhausted(f) {
+		if c.sweep() == 0 {
 			break
 		}
-		res.Changed = true
+		c.res.Changed = true
 	}
-	return res
+	return c.res
+}
+
+// folder is one condElim invocation. decided is the ProfitFolds metric,
+// counted over the whole function once and then kept exact around each
+// fold (decidedAround), so a fold costs the edges it can change rather
+// than a recount of every block.
+type folder struct {
+	f         *cfg.Func
+	opts      Options
+	g         *budget
+	blacklist map[jumpKey]bool
+	res       Result
+	decided   int
+}
+
+// newFolder opens one condElim invocation over f, counting its decided
+// edges once.
+func newFolder(f *cfg.Func, opts Options) *folder {
+	decided := ProfitFolds.Metric(f)
+	return &folder{f: f, opts: opts, g: newBudget(opts, decided), blacklist: map[jumpKey]bool{}, decided: decided}
 }
 
 // edgeKind classifies how control flows from a predecessor into the test
@@ -140,76 +158,83 @@ func foldable(f *cfg.Func, t *cfg.Block) bool {
 	return lastCmpBefore(t) >= 0
 }
 
-// foldSweep walks the blocks once, folding every decided incoming edge of
-// every test block it can. Returns the number of folds applied.
-func foldSweep(f *cfg.Func, opts Options, g *budget, blacklist map[jumpKey]bool, res *Result) int {
+// sweep walks the blocks once, folding at most one decided outgoing edge
+// of each. Returns the number of folds applied.
+func (c *folder) sweep() int {
 	made := 0
-	for pi := 0; pi < len(f.Blocks); pi++ {
-		if g.exhausted(f) {
-			break
-		}
-		p := f.Blocks[pi]
-		for _, e := range edgesOf(f, p) {
-			t := e.t
-			if t == p || !foldable(f, t) {
-				continue
-			}
-			key := jumpKey{p.Label, t.Label}
-			if blacklist[key] {
-				continue
-			}
-			if opts.MaxSeqRTLs > 0 && len(t.Insts) > opts.MaxSeqRTLs {
-				continue
-			}
-			// A branch-taken edge parks its copy at the end of the layout,
-			// which requires the last block not to fall off the end.
-			if e.kind == edgeBrTaken {
-				if lt := f.Blocks[len(f.Blocks)-1].Term(); lt == nil || lt.Kind == rtl.Br {
-					continue
-				}
-			}
-			decided, taken, ev := decideEdge(p, t, e.kind)
-			if !decided {
-				continue
-			}
-			meta := []obs.Candidate{{Kind: obs.KindFold, RTLs: len(t.Insts), Blocks: 1}}
-			if !applyFold(f, opts, p, t, e.kind, taken, ev) {
-				blacklist[key] = true
-				res.Rollbacks++
-				meta[0].RolledBack = true
-				emitDecision(opts, f, key.block, key.target, meta, obs.OutRolledBack)
-				continue
-			}
-			meta[0].Applied = true
-			res.BranchesFolded++
-			res.RTLsCopied += len(t.Insts)
-			emitDecision(opts, f, key.block, key.target, meta, obs.OutApplied)
+	for pi := 0; pi < len(c.f.Blocks) && !c.g.exhausted(c.f); pi++ {
+		if c.foldFrom(c.f.Blocks[pi]) {
 			made++
-			g.spent(f)
-			// The fold rewired p and shifted the layout; stale edge data
-			// for p is discarded and the walk resumes on the next block
-			// (later sweeps revisit whatever remains).
-			break
 		}
 	}
 	return made
+}
+
+// foldFrom folds the first decided outgoing edge of p whose fold is kept,
+// and reports whether it applied one. The fold rewires p and shifts the
+// layout, so p's stale edge list is dropped and the sweep moves on (later
+// sweeps revisit whatever remains).
+func (c *folder) foldFrom(p *cfg.Block) bool {
+	f, opts := c.f, c.opts
+	for _, e := range edgesOf(f, p) {
+		t := e.t
+		if t == p || !foldable(f, t) {
+			continue
+		}
+		key := jumpKey{p.Label, t.Label}
+		if c.blacklist[key] {
+			continue
+		}
+		if opts.MaxSeqRTLs > 0 && len(t.Insts) > opts.MaxSeqRTLs {
+			continue
+		}
+		// A branch-taken edge parks its copy at the end of the layout,
+		// which requires the last block not to fall off the end.
+		if e.kind == edgeBrTaken {
+			if lt := f.Blocks[len(f.Blocks)-1].Term(); lt == nil || lt.Kind == rtl.Br {
+				continue
+			}
+		}
+		decided, taken, ev := decideEdge(p, t, e.kind)
+		if !decided {
+			continue
+		}
+		meta := []obs.Candidate{{Kind: obs.KindFold, RTLs: len(t.Insts), Blocks: 1}}
+		before := decidedAround(f, p, nil)
+		cp := applyFold(f, opts, p, t, e.kind, taken, ev)
+		if cp == nil {
+			c.blacklist[key] = true
+			c.res.Rollbacks++
+			meta[0].RolledBack = true
+			emitDecision(opts, f, key.block, key.target, meta, obs.OutRolledBack)
+			continue
+		}
+		c.decided += decidedAround(f, p, cp) - before
+		meta[0].Applied = true
+		c.res.BranchesFolded++
+		c.res.RTLsCopied += len(t.Insts)
+		emitDecision(opts, f, key.block, key.target, meta, obs.OutApplied)
+		c.g.spent(c.decided)
+		return true
+	}
+	return false
 }
 
 // applyFold duplicates t as a copy whose conditional branch is replaced by
 // the decided transfer, and rewires the edge from p onto the copy — all
 // under the engine's reducibility guard, so a fold that would break the
 // flow graph's reducibility (for example by giving a natural loop a second
-// entry) is rolled back byte-identically.
-func applyFold(f *cfg.Func, opts Options, p, t *cfg.Block, kind edgeKind, taken bool, ev tv.Evidence) bool {
+// entry) is rolled back byte-identically. Returns the copy, or nil when
+// the fold was rolled back.
+func applyFold(f *cfg.Func, opts Options, p, t *cfg.Block, kind edgeKind, taken bool, ev tv.Evidence) *cfg.Block {
 	dest := t.Term().Target
 	if !taken {
 		dest = f.Blocks[t.Index+1].Label
 	}
-	var copyLabel rtl.Label
+	var nb *cfg.Block
 	ok := applyGuarded(f, opts, func(u *undoLog) {
-		nb := t.Clone()
+		nb = t.Clone()
 		nb.Label = f.NewLabel()
-		copyLabel = nb.Label
 		// The comparison (and everything before it) is kept — values and
 		// the condition code are computed exactly as in the original — and
 		// only the branch is folded to the decided transfer.
@@ -232,14 +257,17 @@ func applyFold(f *cfg.Func, opts Options, p, t *cfg.Block, kind edgeKind, taken 
 			pt.Target = nb.Label
 		}
 	})
-	if ok && opts.OnCertificate != nil {
+	if !ok {
+		return nil
+	}
+	if opts.OnCertificate != nil {
 		opts.OnCertificate(f, &tv.Certificate{
 			Kind: tv.KindFold, Func: f.Name,
-			Block: p.Label, Target: t.Label, Copy: copyLabel,
+			Block: p.Label, Target: t.Label, Copy: nb.Label,
 			Edge: kind.shape(), Taken: taken, Dest: dest, Evidence: ev,
 		})
 	}
-	return ok
+	return nb
 }
 
 // lastCmpBefore returns the index of the last comparison before t's
@@ -506,11 +534,61 @@ func (e *constEnv) step(in *rtl.Inst) {
 func countDecidedEdges(f *cfg.Func) int {
 	n := 0
 	for _, p := range f.Blocks {
-		for _, e := range edgesOf(f, p) {
-			if e.t == p || !foldable(f, e.t) {
-				continue
+		n += decidedOut(f, p)
+	}
+	return n
+}
+
+// decidedOut counts the decided edges out of p.
+func decidedOut(f *cfg.Func, p *cfg.Block) int {
+	n := 0
+	for _, e := range edgesOf(f, p) {
+		if e.t == p || !foldable(f, e.t) {
+			continue
+		}
+		if d, _, _ := decideEdge(p, e.t, e.kind); d {
+			n++
+		}
+	}
+	return n
+}
+
+// decidedAround counts the decided edges a fold out of p can change: the
+// edges out of p, out of its copy cp (nil before the fold), and into p from
+// every other block. The count is exact because a fold changes only p's
+// instructions and p's layout successor. The copy has a fresh label, so p
+// is its only predecessor. A taken-edge copy goes after a last block that
+// cannot fall through (foldFrom's precondition), so that block's edges
+// stay as they were and it stays unfoldable. Edges into p change with
+// foldable(p), which reads p's terminator and successor; edges into other
+// blocks depend on neither.
+func decidedAround(f *cfg.Func, p, cp *cfg.Block) int {
+	n := decidedOut(f, p)
+	if cp != nil {
+		n += decidedOut(f, cp)
+	}
+	if !foldable(f, p) {
+		return n
+	}
+	// Edges into p in edgesOf's shapes, found by label and position rather
+	// than through edgesOf, whose target lookups would make this scan
+	// quadratic.
+	for _, q := range f.Blocks {
+		if q == p || q == cp {
+			continue
+		}
+		qt := q.Term()
+		if qt != nil && (qt.Kind == rtl.Jmp || qt.Kind == rtl.Br) && qt.Target == p.Label {
+			kind := edgeJump
+			if qt.Kind == rtl.Br {
+				kind = edgeBrTaken
 			}
-			if d, _, _ := decideEdge(p, e.t, e.kind); d {
+			if d, _, _ := decideEdge(q, p, kind); d {
+				n++
+			}
+		}
+		if q.Index+1 == p.Index && (qt == nil || qt.Kind == rtl.Br) {
+			if d, _, _ := decideEdge(q, p, edgeFall); d {
 				n++
 			}
 		}

@@ -187,7 +187,7 @@ func JUMPS(f *cfg.Func, opts Options) Result { return jumps(f, opts, oracleFinde
 func jumps(f *cfg.Func, opts Options, finder func(*graphSnapshot) pathFinder) Result {
 	var res Result
 	blacklist := map[jumpKey]bool{}
-	g := newBudget(f, opts, ProfitJumps)
+	g := newBudget(opts, ProfitJumps.Metric(f))
 	for !g.exhausted(f) {
 		made := sweep(f, opts, finder, blacklist, g, &res)
 		if made == 0 {
@@ -285,7 +285,7 @@ func sweep(f *cfg.Func, opts Options, finder func(*graphSnapshot) pathFinder, bl
 		res.RTLsCopied += cands[applied].rtls
 		emitDecision(opts, f, key.block, key.target, meta, obs.OutApplied)
 		made++
-		g.spent(f)
+		g.spent(ProfitJumps.Metric(f))
 	}
 	return made
 }

@@ -4,9 +4,9 @@ import "repro/internal/cfg"
 
 // Profit is the pluggable profitability model of the generic duplication
 // engine: it names the static metric a duplication pass is driving down.
-// The engine's budget re-evaluates the metric after every applied
-// duplication and cuts the pass off (§5.2 conservatism) once maxFutile
-// consecutive applications stop lowering it.
+// Each pass hands the engine's budget the metric's value after every
+// applied duplication, and the budget cuts the pass off (§5.2
+// conservatism) once maxFutile consecutive applications stop lowering it.
 type Profit interface {
 	// Metric returns the model's current static count for f; lower is
 	// better, and a pass that stops lowering it is cut off.
