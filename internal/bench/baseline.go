@@ -8,7 +8,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/cfg"
 	"repro/internal/encode"
 	"repro/internal/machine"
 	"repro/internal/mcc"
@@ -83,15 +82,6 @@ type SuiteResult struct {
 	RTLsPerSec float64 `json:"rtls_per_sec"`
 }
 
-// progRTLs sums the RTL counts of every function of a compiled program.
-func progRTLs(p *cfg.Program) int64 {
-	var n int64
-	for _, f := range p.Funcs {
-		n += int64(f.NumRTLs())
-	}
-	return n
-}
-
 // SuiteRTLs returns the total optimizer-input size of the Table-3 suite in
 // RTL instructions (the numerator of the suite throughput metrics).
 func SuiteRTLs() (int64, error) {
@@ -101,7 +91,7 @@ func SuiteRTLs() (int64, error) {
 		if err != nil {
 			return 0, fmt.Errorf("bench: compile %s: %w", p.Name, err)
 		}
-		total += progRTLs(prog)
+		total += int64(prog.NumRTLs())
 	}
 	return total, nil
 }

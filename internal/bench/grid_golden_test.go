@@ -2,10 +2,13 @@ package bench_test
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -16,6 +19,32 @@ import (
 )
 
 var gridGolden = filepath.Join("testdata", "grid.golden")
+
+// matchGolden compares got with the golden file at path, naming the first
+// line that differs, or rewrites the file under REPRO_GEN_GOLDENS=1.
+func matchGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if os.Getenv("REPRO_GEN_GOLDENS") != "" {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (REPRO_GEN_GOLDENS=1 regenerates)", err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			t.Fatalf("%s line %d differs:\n got  %s\n want %s", path, i+1, g[i], w[i])
+		}
+	}
+	t.Fatalf("%s has %d lines, the render %d", path, len(w), len(g))
+}
 
 // fetchDigest folds an instruction-fetch stream into 64 bits, one
 // FNV-1a-style step per word: the address, then the size.
@@ -82,24 +111,42 @@ func TestGridGolden(t *testing.T) {
 			}
 		}
 	}
-	if os.Getenv("REPRO_GEN_GOLDENS") != "" {
-		if err := os.WriteFile(gridGolden, got.Bytes(), 0o644); err != nil {
+	matchGolden(t, gridGolden, got.Bytes())
+}
+
+// tablesGoldens are the rendered paper tables: what `tables -q` prints
+// (every table, cache bank at the paper's 1–8 KB) and what `tables -q
+// -table 6s` prints (Table 6 at the scaled 128 B–1 KB caches).
+var tablesGoldens = []struct {
+	path  string
+	sizes []int64 // the cache bank; nil is the paper's
+	write func(*bench.Results, io.Writer)
+}{
+	{filepath.Join("testdata", allTables), nil,
+		func(r *bench.Results, w io.Writer) { r.WriteAll(w, true) }},
+	{filepath.Join("testdata", scaledTables), []int64{128, 256, 512, 1024},
+		(*bench.Results).Table6},
+}
+
+// TestTablesGolden pins the rendered paper tables byte for byte: a change
+// to any renderer, or to a measurement behind it, fails here.
+// EXPERIMENTS.md's measured columns are checked against these files
+// (TestExperimentsMatchTables). Regenerate with REPRO_GEN_GOLDENS=1 after
+// an intentional change.
+func TestTablesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full 168-cell grids; skipped in -short")
+	}
+	pool := newPool(t, runtime.GOMAXPROCS(0))
+	for _, g := range tablesGoldens {
+		res, err := bench.RunGrid(context.Background(), bench.GridConfig{
+			Caches: true, CacheSizes: g.sizes, Pool: pool,
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		return
+		var got bytes.Buffer
+		g.write(res, &got)
+		matchGolden(t, g.path, got.Bytes())
 	}
-	want, err := os.ReadFile(gridGolden)
-	if err != nil {
-		t.Fatalf("%v (REPRO_GEN_GOLDENS=1 regenerates)", err)
-	}
-	if got.String() == string(want) {
-		return
-	}
-	g, w := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(g) && i < len(w); i++ {
-		if g[i] != w[i] {
-			t.Fatalf("grid.golden line %d differs:\n got  %s\n want %s", i+1, g[i], w[i])
-		}
-	}
-	t.Fatalf("grid.golden has %d lines, the grid %d", len(w), len(g))
 }

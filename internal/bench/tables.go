@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/ease"
 	"repro/internal/machine"
 	"repro/internal/pipeline"
@@ -174,82 +175,76 @@ var programOrder = []string{
 // Table5 renders the paper's Table 5: static and dynamic instruction
 // counts, with every level above SIMPLE as percent change from SIMPLE.
 func (r *Results) Table5(w io.Writer) {
-	fmt.Fprintln(w, "Table 5: Number of Static and Dynamic Instructions")
-	opt := optLevels()
-	for _, m := range machines {
-		fmt.Fprintf(w, "\n%s\n", m.Name)
-		fmt.Fprintf(w, "%-12s %10s", "program", "static")
-		for _, lv := range opt {
-			fmt.Fprintf(w, " %9s", lv.String())
-		}
-		fmt.Fprintf(w, "   %14s", "dynamic")
-		for _, lv := range opt {
-			fmt.Fprintf(w, " %9s", lv.String())
-		}
-		fmt.Fprintln(w)
-		stat := make([][]float64, len(opt))
-		dyn := make([][]float64, len(opt))
-		var statS, dynS []float64
-		for _, name := range programOrder {
-			cs := r.Get(name, m.Name, pipeline.Simple)
-			if cs == nil {
-				continue
-			}
-			cells := make([]*Cell, len(opt))
-			missing := false
-			for i, lv := range opt {
-				if cells[i] = r.Get(name, m.Name, lv); cells[i] == nil {
-					missing = true
-				}
-			}
-			if missing {
-				continue
-			}
-			fmt.Fprintf(w, "%-12s %10d", name, cs.Run.Static.StaticInsts)
-			for i, c := range cells {
-				d := ease.PercentChange(int64(cs.Run.Static.StaticInsts), int64(c.Run.Static.StaticInsts))
-				stat[i] = append(stat[i], d)
-				fmt.Fprintf(w, " %+8.2f%%", d)
-			}
-			fmt.Fprintf(w, "   %14d", cs.Run.Dynamic.Exec)
-			for i, c := range cells {
-				d := ease.PercentChange(cs.Run.Dynamic.Exec, c.Run.Dynamic.Exec)
-				dyn[i] = append(dyn[i], d)
-				fmt.Fprintf(w, " %+8.2f%%", d)
-			}
-			fmt.Fprintln(w)
-			statS = append(statS, float64(cs.Run.Static.StaticInsts))
-			dynS = append(dynS, float64(cs.Run.Dynamic.Exec))
-		}
-		ms, _ := meanStd(statS)
-		md, _ := meanStd(dynS)
-		fmt.Fprintf(w, "%-12s %10.0f", "average", ms)
-		for i := range opt {
-			m, _ := meanStd(stat[i])
-			fmt.Fprintf(w, " %+8.2f%%", m)
-		}
-		fmt.Fprintf(w, "   %14.0f", md)
-		for i := range opt {
-			m, _ := meanStd(dyn[i])
-			fmt.Fprintf(w, " %+8.2f%%", m)
-		}
-		fmt.Fprintln(w)
-	}
+	r.changeTable(w, "Table 5: Number of Static and Dynamic Instructions",
+		measure{"static", 11, func(run *ease.Run) int64 { return int64(run.Static.StaticInsts) }},
+		measure{"dynamic", 17, func(run *ease.Run) int64 { return run.Dynamic.Exec }})
 }
 
-// bankIndex returns the bank index for (sizeBytes, ctx) given the bank's
-// size list.
-func bankIndex(sizes []int64, sizeBytes int64, ctx bool) int {
-	i := 0
-	for _, sz := range sizes {
-		for _, c := range []bool{true, false} {
-			if sz == sizeBytes && c == ctx {
-				return i
+// A measure is one column group of a change table: a program's value at
+// SIMPLE, then its percent change at every level above SIMPLE.
+type measure struct {
+	name  string
+	width int // of the SIMPLE column, counting the gap before it
+	value func(*ease.Run) int64
+}
+
+// changeTable renders title and, per machine, a row for every program
+// measured at all levels and an average row: each measure's SIMPLE value
+// and its percent change at every level above SIMPLE.
+func (r *Results) changeTable(w io.Writer, title string, measures ...measure) {
+	fmt.Fprintln(w, title)
+	opt := optLevels()
+	for _, m := range machines {
+		fmt.Fprintf(w, "\n%s\n%-12s", m.Name, "program")
+		for _, ms := range measures {
+			fmt.Fprintf(w, "%*s", ms.width, ms.name)
+			for _, lv := range opt {
+				fmt.Fprintf(w, " %9s", lv)
 			}
-			i++
 		}
+		fmt.Fprintln(w)
+		// base[i] and change[i][j] collect measure i's SIMPLE values and
+		// its changes at level opt[j], for the average row.
+		base := make([][]float64, len(measures))
+		change := make([][][]float64, len(measures))
+		for i := range change {
+			change[i] = make([][]float64, len(opt))
+		}
+		for _, name := range programOrder {
+			cells := make([]*Cell, len(levels))
+			for i, lv := range levels {
+				if cells[i] = r.Get(name, m.Name, lv); cells[i] == nil {
+					cells = nil
+					break
+				}
+			}
+			if cells == nil {
+				continue
+			}
+			fmt.Fprintf(w, "%-12s", name)
+			for i, ms := range measures {
+				simple := ms.value(cells[0].Run)
+				base[i] = append(base[i], float64(simple))
+				fmt.Fprintf(w, "%*d", ms.width, simple)
+				for j, c := range cells[1:] {
+					d := ease.PercentChange(simple, ms.value(c.Run))
+					change[i][j] = append(change[i][j], d)
+					fmt.Fprintf(w, " %+8.2f%%", d)
+				}
+			}
+			fmt.Fprintln(w)
+		}
+		fmt.Fprintf(w, "%-12s", "average")
+		for i, ms := range measures {
+			b, _ := meanStd(base[i])
+			fmt.Fprintf(w, "%*.0f", ms.width, b)
+			for _, ch := range change[i] {
+				c, _ := meanStd(ch)
+				fmt.Fprintf(w, " %+8.2f%%", c)
+			}
+		}
+		fmt.Fprintln(w)
 	}
-	return -1
 }
 
 // Table6 renders the paper's Table 6: change in miss ratio (percentage
@@ -258,75 +253,48 @@ func bankIndex(sizes []int64, sizeBytes int64, ctx bool) int {
 func (r *Results) Table6(w io.Writer) {
 	fmt.Fprintln(w, "Table 6: Percent Change in Miss Ratio and Instruction Fetch Cost")
 	fmt.Fprintln(w, "         for Direct-Mapped Caches (vs SIMPLE)")
-	sizes := r.CacheSizes
-	szName := func(sz int64) string {
-		if sz >= 1024 && sz%1024 == 0 {
-			return fmt.Sprintf("%dKb", sz/1024)
-		}
-		return fmt.Sprintf("%db", sz)
+	metrics := []struct {
+		title string
+		delta func(simple, x cache.Stats) float64
+	}{
+		{"Cache Miss Ratio (difference in percentage points)",
+			func(s, x cache.Stats) float64 { return 100 * (x.MissRatio() - s.MissRatio()) }},
+		{"Instruction Fetch Cost (percent change)",
+			func(s, x cache.Stats) float64 { return ease.PercentChange(s.Cost, x.Cost) }},
 	}
-	header := func(metric string) {
-		fmt.Fprintf(w, "\n%s\n%-10s %-4s", metric, "machine", "ctx")
-		for _, sz := range sizes {
+	for _, mt := range metrics {
+		fmt.Fprintf(w, "\n%s\n%-10s %-4s", mt.title, "machine", "ctx")
+		for _, sz := range r.CacheSizes {
+			name := fmt.Sprintf("%db", sz)
+			if sz >= 1024 && sz%1024 == 0 {
+				name = fmt.Sprintf("%dKb", sz/1024)
+			}
 			for _, lv := range optLevels() {
-				fmt.Fprintf(w, "  %9s", szName(sz)+"-"+lv.String())
+				fmt.Fprintf(w, "  %9s", name+"-"+lv.String())
 			}
 		}
 		fmt.Fprintln(w)
-	}
-	header("Cache Miss Ratio (difference in percentage points)")
-	for _, m := range machines {
-		for _, ctx := range []bool{true, false} {
-			ctxs := "on"
-			if !ctx {
-				ctxs = "off"
-			}
-			fmt.Fprintf(w, "%-10s %-4s", m.Name, ctxs)
-			for _, sz := range sizes {
-				bi := bankIndex(sizes, sz, ctx)
-				for _, lv := range optLevels() {
-					var deltas []float64
-					for _, p := range Programs() {
-						cs := r.Get(p.Name, m.Name, pipeline.Simple)
-						cx := r.Get(p.Name, m.Name, lv)
-						if cs == nil || cx == nil || cs.Run.Caches == nil || cx.Run.Caches == nil {
-							continue
+		for _, m := range machines {
+			for ci, ctx := range []string{"on", "off"} {
+				fmt.Fprintf(w, "%-10s %-4s", m.Name, ctx)
+				for si := range r.CacheSizes {
+					bi := 2*si + ci // the bank lists each size with context switches, then without
+					for _, lv := range optLevels() {
+						var deltas []float64
+						for _, p := range Programs() {
+							cs := r.Get(p.Name, m.Name, pipeline.Simple)
+							cx := r.Get(p.Name, m.Name, lv)
+							if cs == nil || cx == nil || cs.Run.Caches == nil || cx.Run.Caches == nil {
+								continue
+							}
+							deltas = append(deltas, mt.delta(cs.Run.Caches[bi], cx.Run.Caches[bi]))
 						}
-						deltas = append(deltas,
-							100*(cx.Run.Caches[bi].MissRatio()-cs.Run.Caches[bi].MissRatio()))
+						mean, _ := meanStd(deltas)
+						fmt.Fprintf(w, "  %+9.2f%%", mean)
 					}
-					mean, _ := meanStd(deltas)
-					fmt.Fprintf(w, "  %+9.2f%%", mean)
 				}
+				fmt.Fprintln(w)
 			}
-			fmt.Fprintln(w)
-		}
-	}
-	header("Instruction Fetch Cost (percent change)")
-	for _, m := range machines {
-		for _, ctx := range []bool{true, false} {
-			ctxs := "on"
-			if !ctx {
-				ctxs = "off"
-			}
-			fmt.Fprintf(w, "%-10s %-4s", m.Name, ctxs)
-			for _, sz := range sizes {
-				bi := bankIndex(sizes, sz, ctx)
-				for _, lv := range optLevels() {
-					var deltas []float64
-					for _, p := range Programs() {
-						cs := r.Get(p.Name, m.Name, pipeline.Simple)
-						cx := r.Get(p.Name, m.Name, lv)
-						if cs == nil || cx == nil || cs.Run.Caches == nil || cx.Run.Caches == nil {
-							continue
-						}
-						deltas = append(deltas, ease.PercentChange(cs.Run.Caches[bi].Cost, cx.Run.Caches[bi].Cost))
-					}
-					mean, _ := meanStd(deltas)
-					fmt.Fprintf(w, "  %+9.2f%%", mean)
-				}
-			}
-			fmt.Fprintln(w)
 		}
 	}
 }
@@ -375,48 +343,8 @@ func (r *Results) BranchDistance(w io.Writer) {
 // short forms where they fit — so replication's size cost shows up in
 // real bytes, not RTL counts.
 func (r *Results) CodeSize(w io.Writer) {
-	opt := optLevels()
-	fmt.Fprintln(w, "Encoded Code Size (bytes; change vs SIMPLE)")
-	for _, m := range machines {
-		fmt.Fprintf(w, "\n%s\n%-12s %10s", m.Name, "program", "SIMPLE")
-		for _, lv := range opt {
-			fmt.Fprintf(w, " %9s", lv.String())
-		}
-		fmt.Fprintln(w)
-		var base []float64
-		deltas := make([][]float64, len(opt))
-		for _, name := range programOrder {
-			cs := r.Get(name, m.Name, pipeline.Simple)
-			if cs == nil {
-				continue
-			}
-			cells := make([]*Cell, len(opt))
-			missing := false
-			for i, lv := range opt {
-				if cells[i] = r.Get(name, m.Name, lv); cells[i] == nil {
-					missing = true
-				}
-			}
-			if missing {
-				continue
-			}
-			fmt.Fprintf(w, "%-12s %10d", name, cs.Run.CodeBytes)
-			for i, c := range cells {
-				d := ease.PercentChange(cs.Run.CodeBytes, c.Run.CodeBytes)
-				deltas[i] = append(deltas[i], d)
-				fmt.Fprintf(w, " %+8.2f%%", d)
-			}
-			fmt.Fprintln(w)
-			base = append(base, float64(cs.Run.CodeBytes))
-		}
-		mb, _ := meanStd(base)
-		fmt.Fprintf(w, "%-12s %10.0f", "average", mb)
-		for i := range opt {
-			m, _ := meanStd(deltas[i])
-			fmt.Fprintf(w, " %+8.2f%%", m)
-		}
-		fmt.Fprintln(w)
-	}
+	r.changeTable(w, "Encoded Code Size (bytes; change vs SIMPLE)",
+		measure{"SIMPLE", 11, func(run *ease.Run) int64 { return run.CodeBytes }})
 }
 
 // CondBranches renders the DUPS-level claim: dynamic conditional branches

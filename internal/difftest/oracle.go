@@ -326,12 +326,12 @@ func residualReplicableJump(prog *cfg.Program, opts replicate.Options) string {
 			continue
 		}
 		clone := f.Clone()
-		before := replicate.ProfitJumps.Metric(clone)
+		before := replicate.CountJumps(clone)
 		if before == 0 {
 			continue
 		}
 		replicate.JUMPS(clone, opts)
-		if after := replicate.ProfitJumps.Metric(clone); after < before {
+		if after := replicate.CountJumps(clone); after < before {
 			return fmt.Sprintf("function %s: %d unconditional jumps, replication would leave %d",
 				f.Name, before, after)
 		}

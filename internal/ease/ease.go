@@ -126,10 +126,7 @@ func Measure(req Request) (*Run, error) {
 // MeasureProgram measures an already-compiled (but unoptimized) program.
 func MeasureProgram(prog *cfg.Program, req Request) (*Run, error) {
 	start := time.Now() // det:allow nodeterminism — phase/elapsed telemetry
-	inputRTLs := 0
-	for _, f := range prog.Funcs {
-		inputRTLs += f.NumRTLs()
-	}
+	inputRTLs := prog.NumRTLs()
 	st := pipeline.Optimize(prog, pipeline.Config{
 		Machine: req.Machine,
 		Level:   req.Level,

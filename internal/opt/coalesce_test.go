@@ -35,10 +35,10 @@ func figure3(f *cfg.Func, m *machine.Machine, replicateF func(*cfg.Func, replica
 		changed = opt.BranchChaining(f) || changed
 		changed = opt.FoldBranches(f) || changed
 		changed = cfg.DeleteJumpsToNext(f) || changed
-		before := replicate.ProfitJumps.Metric(f)
+		before := replicate.CountJumps(f)
 		r := replicateF(f, replicate.Options{})
 		opt.DeadCodeElimination(f)
-		changed = replicate.ProfitJumps.Metric(f) < before || r.BranchesFolded > 0 || changed
+		changed = replicate.CountJumps(f) < before || r.BranchesFolded > 0 || changed
 		changed = opt.DeadCodeElimination(f) || changed
 		changed = opt.MergeBlocks(f) || changed
 		if !changed {

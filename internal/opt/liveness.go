@@ -20,11 +20,6 @@ import (
 // its Br in the same block, and every pass preserves that pairing.
 const ccReg rtl.Reg = -100
 
-// CC exposes the condition-code pseudo-register to clients of
-// ComputeLiveness (the semantic verifier in internal/verify): it is
-// negative, so it can never collide with a machine or virtual register.
-const CC = ccReg
-
 // instUses appends the registers (and CC pseudo-register) read by in.
 func instUses(in *rtl.Inst, dst []rtl.Reg) []rtl.Reg {
 	dst = in.UsedRegs(dst)

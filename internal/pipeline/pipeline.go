@@ -542,11 +542,11 @@ func optimizeFunc(f *cfg.Func, c Config) Stats {
 			// the trajectory JUMPS would. A fold's progress is dynamic,
 			// invisible to any static count, so it is credited from the
 			// BranchesFolded delta instead.
-			before := replicate.ProfitJumps.Metric(f)
+			before := replicate.CountJumps(f)
 			foldsBefore := st.Replication.BranchesFolded
 			repChanged := pr.run("replicate", replicateHere)
 			pr.run("dead-code", func() bool { return opt.DeadCodeElimination(f) })
-			after := replicate.ProfitJumps.Metric(f)
+			after := replicate.CountJumps(f)
 			if after < before || st.Replication.BranchesFolded > foldsBefore {
 				changed = true
 			} else if repChanged {

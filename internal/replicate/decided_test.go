@@ -11,7 +11,7 @@ import (
 	"repro/internal/replicate"
 )
 
-// Fixtures for the running ProfitFolds count.
+// Fixtures for the running decided-edge count.
 const (
 	// intoPSrc: L1's branch targets its own fall-through, so L1 is not
 	// foldable. Folding the taken edge L1 -> L2 makes L1 foldable and
@@ -57,7 +57,7 @@ L6:
 `
 )
 
-// TestRunningDecidedCount checks the running ProfitFolds count that DUPS'
+// TestRunningDecidedCount checks the running decided-edge count that DUPS'
 // conditional elimination keeps around each fold: after every fold it must
 // equal a full recount of the function's decided edges. The two fixtures
 // each need one half of the count (the edges into the fold's source, the

@@ -9,10 +9,11 @@
 // applyGuarded (this file): every speculative structural edit — splicing
 // copied blocks, replacing a jump with a rotated test, retargeting
 // branches — is recorded in an undo log, so a failed attempt rolls the
-// function back byte-identically without cloning it. Pass-specific policy
-// lives in pluggable profitability models (profit.go) that drive the
+// function back byte-identically without cloning it. Each pass drives the
 // shared growth budget (§5.2 conservatism: bounded replications, a
-// function-size ceiling, and a futility cutoff).
+// function-size ceiling, and a futility cutoff) with its own static
+// profitability metric: JUMPS counts its jumps (CountJumps), DUPS its
+// decided edges (countDecidedEdges).
 package replicate
 
 import (
@@ -113,17 +114,18 @@ func applyGuarded(f *cfg.Func, opts Options, edit func(*undoLog)) bool {
 	return true
 }
 
-// maxFutile bounds consecutive duplications that fail to lower the
-// profitability model's metric; the paper notes that interactions must be
+// maxFutile bounds consecutive duplications that fail to lower the pass's
+// profitability metric; the paper notes that interactions must be
 // "treated conservatively to avoid the potential of replication ad
 // infinitum".
 const maxFutile = 16
 
 // budget tracks the §5.2 growth caps for one duplication pass over one
 // function: a bound on applied duplications, a function-size ceiling, and
-// the futility cutoff on the pass's profitability metric. The pass supplies
-// the metric's values: JUMPS recounts ProfitJumps, DUPS keeps a running
-// ProfitFolds count.
+// the futility cutoff on the pass's profitability metric, a static count
+// that the pass drives down. The pass supplies the metric's values: JUMPS
+// recounts its jumps (CountJumps), DUPS keeps a running count of its
+// decided edges (countDecidedEdges).
 type budget struct {
 	opts   Options
 	reps   int

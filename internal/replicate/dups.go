@@ -42,7 +42,8 @@ func DUPS(f *cfg.Func, opts Options) Result {
 // finds nothing foldable or the growth budget is exhausted. Every applied
 // fold consumes the decided edge it acted on, and failed (rolled-back)
 // edges are blacklisted for the invocation, so each sweep makes strict
-// progress on the ProfitFolds metric or terminates the pass.
+// progress on its decided-edge count (countDecidedEdges) or terminates the
+// pass.
 func condElim(f *cfg.Func, opts Options) Result {
 	c := newFolder(f, opts)
 	for !c.g.exhausted(f) {
@@ -54,10 +55,10 @@ func condElim(f *cfg.Func, opts Options) Result {
 	return c.res
 }
 
-// folder is one condElim invocation. decided is the ProfitFolds metric,
-// counted over the whole function once and then kept exact around each
-// fold (decidedAround), so a fold costs the edges it can change rather
-// than a recount of every block.
+// folder is one condElim invocation. decided is its profitability metric,
+// the decided-edge count: counted over the whole function once and then
+// kept exact around each fold (decidedAround), so a fold costs the edges it
+// can change rather than a recount of every block.
 type folder struct {
 	f         *cfg.Func
 	opts      Options
@@ -70,7 +71,7 @@ type folder struct {
 // newFolder opens one condElim invocation over f, counting its decided
 // edges once.
 func newFolder(f *cfg.Func, opts Options) *folder {
-	decided := ProfitFolds.Metric(f)
+	decided := countDecidedEdges(f)
 	return &folder{f: f, opts: opts, g: newBudget(opts, decided), blacklist: map[jumpKey]bool{}, decided: decided}
 }
 
@@ -529,8 +530,13 @@ func (e *constEnv) step(in *rtl.Inst) {
 	// Cmp, Br, Jmp, IJmp, Arg, Ret, Nop: no tracked effect.
 }
 
-// countDecidedEdges is the ProfitFolds metric: the number of incoming
-// edges on which a foldable test block's branch outcome is already known.
+// countDecidedEdges is the DUPS profitability metric: the number of
+// incoming edges on which a foldable test block's branch outcome is already
+// known (constant operands or a dominating test on the same comparison).
+// Each applied fold consumes its decided edge, so the count normally falls
+// monotonically; cascaded folds through freshly duplicated blocks may
+// create new decided edges, which the budget's futility cutoff and the RTL
+// ceiling keep bounded.
 func countDecidedEdges(f *cfg.Func) int {
 	n := 0
 	for _, p := range f.Blocks {
@@ -589,19 +595,6 @@ func decidedAround(f *cfg.Func, p, cp *cfg.Block) int {
 		}
 		if q.Index+1 == p.Index && (qt == nil || qt.Kind == rtl.Br) {
 			if d, _, _ := decideEdge(q, p, edgeFall); d {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// countBranches returns the static number of conditional branches.
-func countBranches(f *cfg.Func) int {
-	n := 0
-	for _, b := range f.Blocks {
-		for ii := range b.Insts {
-			if b.Insts[ii].Kind == rtl.Br {
 				n++
 			}
 		}

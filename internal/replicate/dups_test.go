@@ -223,11 +223,24 @@ func TestForceRollbackByteIdentical(t *testing.T) {
 // TestProfitModels pins the two profitability metrics on a known shape.
 func TestProfitModels(t *testing.T) {
 	f := mustParse(t, constDecidedSrc)
-	if got := ProfitJumps.Metric(f); got != 1 {
-		t.Errorf("ProfitJumps = %d, want 1", got)
+	if got := CountJumps(f); got != 1 {
+		t.Errorf("CountJumps = %d, want 1", got)
 	}
 	// Both incoming edges of L2 are decided (constant on each path).
-	if got := ProfitFolds.Metric(f); got != 2 {
-		t.Errorf("ProfitFolds = %d, want 2", got)
+	if got := countDecidedEdges(f); got != 2 {
+		t.Errorf("countDecidedEdges = %d, want 2", got)
 	}
+}
+
+// countBranches returns the static number of conditional branches.
+func countBranches(f *cfg.Func) int {
+	n := 0
+	for _, b := range f.Blocks {
+		for ii := range b.Insts {
+			if b.Insts[ii].Kind == rtl.Br {
+				n++
+			}
+		}
+	}
+	return n
 }

@@ -11,7 +11,7 @@ import (
 func JUMPSMatrix(f *cfg.Func, opts Options) Result { return jumps(f, opts, matrixFinder) }
 
 // CondElimChecked runs DUPS' conditional elimination on f fold by fold, in
-// condElim's order, and after every fold compares the running ProfitFolds
+// condElim's order, and after every fold compares the running decided-edge
 // count with a full countDecidedEdges. It returns the number of folds and
 // the first difference.
 func CondElimChecked(f *cfg.Func, opts Options) (int, error) {

@@ -162,8 +162,11 @@ type jumpKey struct {
 	target rtl.Label
 }
 
-// countJumps returns the static number of unconditional (direct) jumps.
-func countJumps(f *cfg.Func) int {
+// CountJumps returns the static number of unconditional (direct) jumps:
+// the paper's objective. JUMPS replication and the pipeline's Figure-3
+// loop count progress by it — a replication only counts while the
+// function's jump count keeps falling.
+func CountJumps(f *cfg.Func) int {
 	n := 0
 	for _, b := range f.Blocks {
 		for ii := range b.Insts {
@@ -187,7 +190,7 @@ func JUMPS(f *cfg.Func, opts Options) Result { return jumps(f, opts, oracleFinde
 func jumps(f *cfg.Func, opts Options, finder func(*graphSnapshot) pathFinder) Result {
 	var res Result
 	blacklist := map[jumpKey]bool{}
-	g := newBudget(opts, ProfitJumps.Metric(f))
+	g := newBudget(opts, CountJumps(f))
 	for !g.exhausted(f) {
 		made := sweep(f, opts, finder, blacklist, g, &res)
 		if made == 0 {
@@ -285,7 +288,7 @@ func sweep(f *cfg.Func, opts Options, finder func(*graphSnapshot) pathFinder, bl
 		res.RTLsCopied += cands[applied].rtls
 		emitDecision(opts, f, key.block, key.target, meta, obs.OutApplied)
 		made++
-		g.spent(ProfitJumps.Metric(f))
+		g.spent(CountJumps(f))
 	}
 	return made
 }

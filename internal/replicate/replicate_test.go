@@ -10,8 +10,6 @@ import (
 
 func v(i int) rtl.Reg { return rtl.VRegBase + rtl.Reg(i) }
 
-func countJumpsIn(f *cfg.Func) int { return countJumps(f) }
-
 // runnableSanity checks structural invariants after replication: every
 // branch target resolves, the graph stays reducible, and exactly the
 // expected entry block leads.
@@ -121,7 +119,7 @@ func TestTable2Return(t *testing.T) {
 		t.Errorf("unexpected rollback/deletion counters: %+v", res)
 	}
 	runnableSanity(t, f)
-	if countJumpsIn(f) != 0 {
+	if CountJumps(f) != 0 {
 		t.Errorf("jump not eliminated:\n%s", f)
 	}
 	// Both paths should now end in their own return.
@@ -166,7 +164,7 @@ func TestRotationEmergesFromJUMPS(t *testing.T) {
 		t.Fatalf("expected replication:\n%s", f)
 	}
 	runnableSanity(t, f)
-	if countJumpsIn(f) != 0 {
+	if CountJumps(f) != 0 {
 		t.Errorf("latch jump survived:\n%s", f)
 	}
 	// The body's copy of the test must branch backwards with the reversed
@@ -191,7 +189,7 @@ func TestLOOPSRotation(t *testing.T) {
 		t.Errorf("counters = %+v, want 1 rotation of 2 RTLs", res)
 	}
 	runnableSanity(t, f)
-	if countJumpsIn(f) != 0 {
+	if CountJumps(f) != 0 {
 		t.Errorf("LOOPS left the latch jump:\n%s", f)
 	}
 }
@@ -414,7 +412,7 @@ func TestHeuristics(t *testing.T) {
 		f, _, _ := buildWhileLoop()
 		JUMPS(f, Options{Heuristic: h})
 		runnableSanity(t, f)
-		if countJumpsIn(f) != 0 {
+		if CountJumps(f) != 0 {
 			t.Errorf("heuristic %d left jumps:\n%s", h, f)
 		}
 	}
@@ -452,7 +450,7 @@ func TestStep5Redirect(t *testing.T) {
 	b4.Insts = []rtl.Inst{{Kind: rtl.Ret, Src: rtl.R(i)}}
 	JUMPS(f, Options{})
 	runnableSanity(t, f)
-	if countJumpsIn(f) != 0 {
+	if CountJumps(f) != 0 {
 		t.Errorf("back-edge jump survived:\n%s", f)
 	}
 }

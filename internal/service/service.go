@@ -552,10 +552,7 @@ func (s *Service) Compile(ctx context.Context, req CompileRequest) (*CompileResu
 			if err != nil {
 				return nil, badRequestf("%v", err)
 			}
-			inputRTLs := 0
-			for _, f := range prog.Funcs {
-				inputRTLs += f.NumRTLs()
-			}
+			inputRTLs := prog.NumRTLs()
 			optStart := time.Now() // det:allow nodeterminism — latency/queue telemetry
 			st := pipeline.Optimize(prog, c)
 			s.met.observeThroughput(inputRTLs, time.Since(optStart)) // det:allow nodeterminism — latency/queue telemetry

@@ -215,9 +215,9 @@ func Program(p *cfg.Program, o Options) []Violation {
 }
 
 // checkCCPairing enforces the condition-code discipline the whole backend
-// relies on (see opt.CC): a conditional branch must be preceded by a
-// compare in its own block, with no call in between (the callee's compares
-// clobber the condition code). It also polices the annul bit, which only
+// relies on: a conditional branch must be preceded by a compare in its own
+// block, with no call in between (the callee's compares clobber the
+// condition code). It also polices the annul bit, which only
 // delay-slot filling may set, and only on branches.
 func checkCCPairing(f *cfg.Func, o Options, add addFunc, full func() bool) {
 	for _, b := range f.Blocks {
