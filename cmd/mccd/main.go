@@ -34,10 +34,8 @@ func main() {
 	jobTimeout := flag.Duration("timeout", 2*time.Minute, "per-job timeout for /compile and /measure")
 	gridTimeout := flag.Duration("grid-timeout", 15*time.Minute, "timeout for one /grid batch job")
 	drainTimeout := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
-	recorderSize := flag.Int("flight-recorder-size", 0,
-		"flight-recorder ring capacity in events for GET /debug/events (0 = default)")
 	retainTraces := flag.Int("retain-traces", 0,
-		"completed jobs that keep their full trace for GET /jobs/{id}/trace (0 = default)")
+		"completed jobs kept in the job table with their traces (0 = default)")
 	showVersion := flag.Bool("version", false, "print the build version and exit")
 	flag.Parse()
 	if *showVersion {
@@ -47,14 +45,13 @@ func main() {
 
 	logger := log.New(os.Stderr, "mccd: ", log.LstdFlags)
 	svc := service.New(service.Config{
-		Workers:            *workers,
-		QueueDepth:         *queue,
-		CacheEntries:       *cacheEntries,
-		JobTimeout:         *jobTimeout,
-		GridTimeout:        *gridTimeout,
-		FlightRecorderSize: *recorderSize,
-		RetainTraces:       *retainTraces,
-		Logf:               logger.Printf,
+		Workers:      *workers,
+		QueueDepth:   *queue,
+		CacheEntries: *cacheEntries,
+		JobTimeout:   *jobTimeout,
+		GridTimeout:  *gridTimeout,
+		RetainTraces: *retainTraces,
+		Logf:         logger.Printf,
 	})
 
 	srv := &http.Server{
@@ -113,7 +110,8 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 
 // logRequests logs one structured line per request: method, path, status,
 // response size, duration, and — when the handler set one — the job ID,
-// so a log line correlates with /jobs/{id}/trace and /debug/events?job=.
+// so a log line correlates with /jobs/{id}, /jobs/{id}/trace and
+// /jobs/{id}/events while the job is retained.
 func logRequests(logger *log.Logger, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()

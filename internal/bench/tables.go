@@ -106,7 +106,7 @@ func (r *Results) Table4(w io.Writer) {
 	fmt.Fprintln(w, "Table 4: Percent of Instructions that are Unconditional Jumps")
 	head := func(first string) {
 		fmt.Fprintf(w, "%-10s %-16s", first, "")
-		for li := 0; li < 2*nl; li++ {
+		for li := 0; li <= nl; li++ { // nothing follows "dynamic"
 			name := ""
 			if li == 0 {
 				name = "static"
@@ -270,7 +270,7 @@ func (r *Results) Table6(w io.Writer) {
 				name = fmt.Sprintf("%dKb", sz/1024)
 			}
 			for _, lv := range optLevels() {
-				fmt.Fprintf(w, "  %9s", name+"-"+lv.String())
+				fmt.Fprintf(w, "  %10s", name+"-"+lv.String()) // as wide as "  %+9.2f%%"
 			}
 		}
 		fmt.Fprintln(w)

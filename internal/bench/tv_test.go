@@ -15,13 +15,12 @@ func optimizeSuite(t *testing.T, tv bool) time.Duration {
 	t.Helper()
 	var total time.Duration
 	for _, p := range Programs() {
-		prog, err := mcc.Compile(p.Source)
-		if err != nil {
-			t.Fatalf("%s: %v", p.Name, err)
-		}
 		for _, m := range machines {
 			for _, lv := range levels {
-				cell := prog.Clone()
+				cell, err := mcc.Compile(p.Source)
+				if err != nil {
+					t.Fatalf("%s: %v", p.Name, err)
+				}
 				start := time.Now()
 				st := pipeline.Optimize(cell, pipeline.Config{Machine: m, Level: lv, Spec: pipeline.Spec{TV: tv}})
 				total += time.Since(start)

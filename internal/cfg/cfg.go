@@ -202,39 +202,11 @@ type Program struct {
 	Globals []rtl.GlobalDef
 }
 
-// Clone returns a deep copy of the program: functions are cloned,
-// global definitions copied. Used by tools that must mutate or re-optimize
-// a program (e.g. the difftest oracle's residual-replication probe) without
-// disturbing the original.
-func (p *Program) Clone() *Program {
-	np := &Program{
-		Funcs:   make([]*Func, len(p.Funcs)),
-		Globals: append([]rtl.GlobalDef(nil), p.Globals...),
-	}
-	for i := range np.Globals {
-		np.Globals[i].Init = append([]int64(nil), np.Globals[i].Init...)
-	}
-	for i, f := range p.Funcs {
-		np.Funcs[i] = f.Clone()
-	}
-	return np
-}
-
 // Func returns the function with the given name, or nil.
 func (p *Program) Func(name string) *Func {
 	for _, f := range p.Funcs {
 		if f.Name == name {
 			return f
-		}
-	}
-	return nil
-}
-
-// Global returns the global with the given name, or nil.
-func (p *Program) Global(name string) *rtl.GlobalDef {
-	for i := range p.Globals {
-		if p.Globals[i].Name == name {
-			return &p.Globals[i]
 		}
 	}
 	return nil

@@ -186,13 +186,10 @@ func (d *Dominators) Dominates(a, b int) bool {
 	return d.pre[a] <= d.pre[b] && d.post[b] <= d.post[a]
 }
 
-// IDom returns the immediate dominator index of block i, or -1.
-func (d *Dominators) IDom(i int) int { return int(d.idom[i]) }
-
 // Loop is a natural loop: a header and the set of blocks (by index) forming
 // the loop body, derived from one or more back edges into the header. The
-// member set is a bitset; query it with Contains, NumBlocks, ForEachBlock
-// or BlockIndices.
+// member set is a bitset; query it with Contains, ForEachBlock or
+// BlockIndices.
 type Loop struct {
 	Header *Block
 	// Latches are the sources of the back edges.
@@ -206,9 +203,6 @@ type Loop struct {
 func (l *Loop) Contains(idx int) bool {
 	return idx >= 0 && idx>>6 < len(l.bits) && l.bits[idx>>6]&(1<<(uint(idx)&63)) != 0
 }
-
-// NumBlocks returns the number of blocks in the loop (header included).
-func (l *Loop) NumBlocks() int { return l.count }
 
 // add inserts a block index, reporting whether it was new.
 func (l *Loop) add(idx int) bool {

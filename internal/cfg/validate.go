@@ -126,13 +126,3 @@ func validOperands(f *Func, b *Block, in *rtl.Inst) error {
 	}
 	return nil
 }
-
-// ValidateProgram runs Validate over every function.
-func ValidateProgram(p *Program, delaySlots bool) error {
-	for _, f := range p.Funcs {
-		if err := Validate(f, delaySlots); err != nil {
-			return err
-		}
-	}
-	return nil
-}

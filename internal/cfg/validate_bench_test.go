@@ -34,8 +34,10 @@ func BenchmarkValidateStressNaive(b *testing.B) {
 	prog, slots := stressProgram(b, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := cfg.ValidateProgram(prog, slots); err != nil {
-			b.Fatal(err)
+		for _, f := range prog.Funcs {
+			if err := cfg.Validate(f, slots); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
@@ -47,8 +49,10 @@ func BenchmarkValidateStressJumps(b *testing.B) {
 	prog, slots := stressProgram(b, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := cfg.ValidateProgram(prog, slots); err != nil {
-			b.Fatal(err)
+		for _, f := range prog.Funcs {
+			if err := cfg.Validate(f, slots); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

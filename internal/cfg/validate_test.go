@@ -22,8 +22,10 @@ int main() { printint(f(10)); return 0; }`
 				t.Fatal(err)
 			}
 			pipeline.Optimize(prog, pipeline.Config{Machine: m, Level: lv})
-			if err := cfg.ValidateProgram(prog, m.DelaySlots); err != nil {
-				t.Errorf("%s/%s: %v", m.Name, lv, err)
+			for _, f := range prog.Funcs {
+				if err := cfg.Validate(f, m.DelaySlots); err != nil {
+					t.Errorf("%s/%s: %v", m.Name, lv, err)
+				}
 			}
 		}
 	}

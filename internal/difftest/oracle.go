@@ -28,7 +28,7 @@ const (
 	VOutput Kind = "output-mismatch"
 	// VExit: the optimized build returned a different exit code.
 	VExit Kind = "exit-mismatch"
-	// VStructure: the verifier's structure rule (cfg.ValidateProgram)
+	// VStructure: the verifier's structure rule (cfg.Validate, per function)
 	// failed after the pipeline (dangling target, mid-block CTI, bad
 	// delay-slot shape, malformed operand).
 	VStructure Kind = "invalid-structure"

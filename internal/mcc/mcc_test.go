@@ -234,7 +234,12 @@ int main() { return 0; }`)
 	}
 	wants := map[string]int64{"a": 14, "b": -16, "c": 0xFF}
 	for name, want := range wants {
-		g := prog.Global(name)
+		var g *rtl.GlobalDef
+		for i := range prog.Globals {
+			if prog.Globals[i].Name == name {
+				g = &prog.Globals[i]
+			}
+		}
 		if g == nil || len(g.Init) != 1 || g.Init[0] != want {
 			t.Errorf("global %s init = %v, want %d", name, g, want)
 		}

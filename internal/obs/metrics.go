@@ -40,9 +40,6 @@ type Gauge struct{ v atomic.Int64 }
 // Set replaces the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add adjusts the value by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
@@ -97,12 +94,6 @@ func (h *Histogram) Observe(v float64) {
 	h.seq.Add(1) // even: consistent again
 	h.mu.Unlock()
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
 // HistogramSnapshot is one consistent observation of a histogram: the
 // per-bucket counts (the +Inf bucket last), the sum and the count all
@@ -183,15 +174,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() int64) {
 	r.register(metric{name, help, "counter", func(w io.Writer, n string) {
 		fmt.Fprintf(w, "%s %d\n", n, fn())
 	}})
-}
-
-// Gauge registers and returns a new gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.register(metric{name, help, "gauge", func(w io.Writer, n string) {
-		fmt.Fprintf(w, "%s %d\n", n, g.Value())
-	}})
-	return g
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at render time

@@ -9,11 +9,11 @@ import (
 func TestCounterGauge(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "a counter")
-	g := r.Gauge("g", "a gauge")
+	g := r.GaugeVec("g", "a gauge", []string{"k"}).WithLabelValues("x")
 	c.Inc()
 	c.Add(4)
 	g.Set(7)
-	g.Add(-2)
+	g.Set(5)
 	if c.Value() != 5 {
 		t.Fatalf("counter = %d, want 5", c.Value())
 	}
@@ -27,10 +27,11 @@ func TestHistogramBuckets(t *testing.T) {
 	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d, want 5", h.Count())
+	snap := h.Snapshot()
+	if snap.Count != 5 {
+		t.Fatalf("count = %d, want 5", snap.Count)
 	}
-	if got := h.Sum(); got != 56.05 {
+	if got := snap.Sum; got != 56.05 {
 		t.Fatalf("sum = %v, want 56.05", got)
 	}
 	// Bucket occupancy: (<=0.1)=1, (<=1)=2, (<=10)=1, +Inf=1.
@@ -84,7 +85,7 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	r.Gauge("x", "")
+	r.GaugeFunc("x", "", func() int64 { return 0 })
 }
 
 // TestMetricsConcurrent is meaningful under -race: all metric types must
@@ -92,7 +93,7 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 func TestMetricsConcurrent(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "")
-	g := r.Gauge("g", "")
+	g := r.GaugeVec("g", "", []string{"k"}).WithLabelValues("x")
 	h := r.Histogram("h", "", []float64{1, 2, 4})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -101,7 +102,7 @@ func TestMetricsConcurrent(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
 				c.Inc()
-				g.Add(1)
+				g.Set(int64(j))
 				h.Observe(float64(j % 6))
 			}
 		}()
@@ -117,8 +118,9 @@ func TestMetricsConcurrent(t *testing.T) {
 	}()
 	wg.Wait()
 	render.Wait()
-	if c.Value() != 8000 || g.Value() != 8000 || h.Count() != 8000 {
-		t.Fatalf("lost updates: c=%d g=%d h=%d", c.Value(), g.Value(), h.Count())
+	// Every goroutine's last Set is 999, so the last write overall is too.
+	if n := h.Snapshot().Count; c.Value() != 8000 || g.Value() != 999 || n != 8000 {
+		t.Fatalf("lost updates: c=%d g=%d h=%d", c.Value(), g.Value(), n)
 	}
 }
 

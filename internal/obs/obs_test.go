@@ -19,8 +19,25 @@ func TestMultiNilHandling(t *testing.T) {
 	c2 := &Collector{}
 	m := Multi(c, nil, c2)
 	m.Emit(&Event{Type: EvPhase, Name: "x"})
-	if c.Len() != 1 || c2.Len() != 1 {
-		t.Errorf("fan-out missed a sink: %d, %d", c.Len(), c2.Len())
+	if len(c.Events()) != 1 || len(c2.Events()) != 1 {
+		t.Errorf("fan-out missed a sink: %d, %d", len(c.Events()), len(c2.Events()))
+	}
+}
+
+func TestWithJobStamps(t *testing.T) {
+	var col Collector
+	tr := WithJob("abc", &col)
+	orig := &Event{Type: EvPass, Name: "cse"}
+	tr.Emit(orig)
+	if orig.Job != "" {
+		t.Fatal("WithJob mutated the caller's event")
+	}
+	evs := col.Events()
+	if len(evs) != 1 || evs[0].Job != "abc" || evs[0].Name != "cse" {
+		t.Fatalf("stamped event = %+v", evs[0])
+	}
+	if WithJob("abc", nil) != nil {
+		t.Fatal("WithJob(nil) must stay nil (disabled convention)")
 	}
 }
 
@@ -37,8 +54,8 @@ func TestCollectorConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if c.Len() != 800 {
-		t.Errorf("lost events: %d", c.Len())
+	if n := len(c.Events()); n != 800 {
+		t.Errorf("lost events: %d", n)
 	}
 }
 

@@ -29,7 +29,7 @@ up 1
 func TestLintRegistryOutputIsClean(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "a").Inc()
-	r.Gauge("g", "g").Set(2)
+	r.GaugeFunc("g", "g", func() int64 { return 2 })
 	r.Histogram("h", "h", []float64{0.1, 1}).Observe(0.5)
 	r.CounterVec("cv_total", "cv", []string{"k"}).WithLabelValues("x").Inc()
 	r.HistogramVec("hv", "hv", []string{"k"}, nil).WithLabelValues("x").Observe(0.2)

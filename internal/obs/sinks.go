@@ -6,8 +6,8 @@ import (
 	"sync"
 )
 
-// Collector is an in-memory Tracer, used by the -explain renderer and by
-// tests.
+// Collector is an in-memory Tracer: the -explain renderer's input and
+// each mccd job's trace.
 type Collector struct {
 	mu     sync.Mutex
 	events []*Event
@@ -25,13 +25,6 @@ func (c *Collector) Events() []*Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]*Event(nil), c.events...)
-}
-
-// Len returns the number of collected events.
-func (c *Collector) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.events)
 }
 
 // JSONLWriter streams events as JSON Lines: one event object per line, in

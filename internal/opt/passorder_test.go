@@ -111,8 +111,10 @@ func TestPassOrderFuzz(t *testing.T) {
 			for _, f := range prog.Funcs {
 				p.run(f, m)
 			}
-			if err := cfg.ValidateProgram(prog, false); err != nil {
-				t.Fatalf("trial %d after %v: %v\n%s", trial, applied, err, prog)
+			for _, f := range prog.Funcs {
+				if err := cfg.Validate(f, false); err != nil {
+					t.Fatalf("trial %d after %v: %v\n%s", trial, applied, err, prog)
+				}
 			}
 			got, err := vm.Run(prog, vm.Config{MaxSteps: 10_000_000})
 			if err != nil {

@@ -128,7 +128,7 @@ func TestCompileTraceLifecycle(t *testing.T) {
 }
 
 // TestGridTraceAndDebugEvents: a grid job's trace has per-pass spans from
-// every cell, and the flight recorder serves a filtered tail.
+// every cell, and the pprof endpoints are mounted.
 func TestGridTraceAndDebugEvents(t *testing.T) {
 	_, srv := newTestService(t)
 	resp, data := postJSON(t, srv.URL+"/grid", GridRequest{Programs: []string{"queens"}})
@@ -173,37 +173,6 @@ func TestGridTraceAndDebugEvents(t *testing.T) {
 		}
 	}
 
-	// Flight-recorder tail, filtered to this job.
-	resp, data = getBody(t, srv.URL+"/debug/events?job="+view.ID+"&n=50")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("debug/events: %d", resp.StatusCode)
-	}
-	lines := bytes.Split(bytes.TrimSpace(data), []byte("\n"))
-	if len(lines) == 0 || len(lines[0]) == 0 {
-		t.Fatal("debug/events returned nothing for the job")
-	}
-	if len(lines) > 50 {
-		t.Fatalf("n=50 returned %d lines", len(lines))
-	}
-	for _, line := range lines {
-		var re struct {
-			Seq *uint64 `json:"seq"`
-			Job string  `json:"job"`
-		}
-		if err := json.Unmarshal(line, &re); err != nil {
-			t.Fatalf("bad line %s: %v", line, err)
-		}
-		if re.Seq == nil || re.Job != view.ID {
-			t.Fatalf("line %s: want seq and job %q", line, view.ID)
-		}
-	}
-
-	// Bad n is a 400.
-	resp, _ = getBody(t, srv.URL+"/debug/events?n=bogus")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad n: %d, want 400", resp.StatusCode)
-	}
-
 	// pprof is mounted.
 	resp, _ = getBody(t, srv.URL+"/debug/pprof/cmdline")
 	if resp.StatusCode != http.StatusOK {
@@ -222,11 +191,14 @@ func TestTraceNotFound(t *testing.T) {
 	}
 }
 
-// TestTraceRetention: only the last RetainTraces completed jobs keep
-// their trace, and the job table is pruned in step.
+// TestTraceRetention: the job table keeps only the last RetainTraces
+// completed jobs, each with its trace; an evicted job is gone from every
+// /jobs endpoint at once.
 func TestTraceRetention(t *testing.T) {
 	s := New(Config{Workers: 2, RetainTraces: 2})
 	defer s.Close(context.Background())
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
 	ids := make([]string, 0, 3)
 	for i := 0; i < 3; i++ {
 		res, err := s.Compile(context.Background(), CompileRequest{
@@ -250,6 +222,30 @@ func TestTraceRetention(t *testing.T) {
 		if _, err := s.Job(id); err != nil {
 			t.Fatalf("retained job %s missing from the table: %v", id, err)
 		}
+	}
+
+	for i, id := range ids {
+		want := http.StatusOK
+		if i == 0 {
+			want = http.StatusNotFound
+		}
+		for _, p := range []string{"", "/trace", "/events"} {
+			if resp, _ := getBody(t, srv.URL+"/jobs/"+id+p); resp.StatusCode != want {
+				t.Errorf("GET /jobs/%s%s: %d, want %d", id, p, resp.StatusCode, want)
+			}
+		}
+	}
+	_, data := getBody(t, srv.URL+"/jobs")
+	var views []JobView
+	if err := json.Unmarshal(data, &views); err != nil {
+		t.Fatal(err)
+	}
+	listed := map[string]bool{}
+	for _, v := range views {
+		listed[v.ID] = true
+	}
+	if len(views) != 2 || !listed[ids[1]] || !listed[ids[2]] {
+		t.Fatalf("GET /jobs lists %s, want exactly %v", data, ids[1:])
 	}
 }
 
@@ -290,8 +286,8 @@ func TestMetricsLintAndLabeledSeries(t *testing.T) {
 
 // TestGridTablesDeterministicWithRecorder: the rendered tables of a
 // traced, pooled grid run are byte-identical to an untraced
-// bench.RunGrid on a one-worker pool — tracing and the flight recorder
-// observe without perturbing.
+// bench.RunGrid on a one-worker pool — the job's trace observes without
+// perturbing.
 func TestGridTablesDeterministicWithRecorder(t *testing.T) {
 	s, srv := newTestService(t)
 	resp, data := postJSON(t, srv.URL+"/grid",
@@ -313,8 +309,8 @@ func TestGridTablesDeterministicWithRecorder(t *testing.T) {
 	if err := json.Unmarshal(res, &grid); err != nil {
 		t.Fatal(err)
 	}
-	if s.recorder.Total() == 0 {
-		t.Fatal("flight recorder saw no events during the grid")
+	if evs, err := s.JobEvents(view.ID); err != nil || len(evs) == 0 {
+		t.Fatalf("grid job's trace: %v (%d events)", err, len(evs))
 	}
 
 	var queens, wc *bench.Program
@@ -336,7 +332,7 @@ func TestGridTablesDeterministicWithRecorder(t *testing.T) {
 	var want bytes.Buffer
 	seq.WriteAll(&want, false)
 	if grid.Tables != want.String() {
-		t.Fatalf("tables differ with recorder enabled:\n--- daemon ---\n%s\n--- sequential ---\n%s",
+		t.Fatalf("tables differ with tracing enabled:\n--- daemon ---\n%s\n--- sequential ---\n%s",
 			grid.Tables, want.String())
 	}
 }

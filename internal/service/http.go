@@ -26,7 +26,6 @@ import (
 //	GET  /programs         the Table-3 program list
 //	GET  /healthz          liveness + pool stats + build version
 //	GET  /metrics          Prometheus text exposition
-//	GET  /debug/events     flight-recorder tail (?job= filter, ?n= limit)
 //	GET  /debug/pprof/     the standard Go profiling endpoints
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -40,7 +39,6 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /programs", s.handlePrograms)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /debug/events", s.handleDebugEvents)
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
@@ -204,27 +202,6 @@ func (s *Service) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	jw := obs.NewJSONLWriter(w)
 	for _, ev := range evs {
 		jw.Emit(ev)
-	}
-}
-
-// handleDebugEvents streams the flight recorder's tail as JSONL: the most
-// recent n events (?n=, default 256), optionally filtered to one job
-// (?job=).
-func (s *Service) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
-	n := 256
-	if v := r.URL.Query().Get("n"); v != "" {
-		i, err := strconv.Atoi(v)
-		if err != nil || i < 0 {
-			writeJSON(w, http.StatusBadRequest, errorBody{"bad n: " + v})
-			return
-		}
-		n = i
-	}
-	tail := s.recorder.Tail(n, r.URL.Query().Get("job"))
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	for _, re := range tail {
-		enc.Encode(re) // nothing to do about a broken client connection
 	}
 }
 

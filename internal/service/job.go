@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Job states. A job moves queued → running → done|failed; there are no
@@ -16,9 +18,14 @@ const (
 	JobFailed  = "failed"
 )
 
-// Job is one asynchronous batch request (today: a grid run). All fields
-// are guarded by mu; handlers read consistent snapshots via View.
+// Job is one request's record in the job table: a synchronous /compile
+// or /measure, or an asynchronous grid run. It owns the job's trace, so
+// GET /jobs/{id}, /jobs/{id}/trace and /jobs/{id}/events read one record.
+// The remaining fields are guarded by mu; handlers read consistent
+// snapshots via View.
 type Job struct {
+	trace obs.Collector // every event of the job, stamped with its ID
+
 	mu       sync.Mutex
 	id       string
 	kind     string
@@ -67,6 +74,9 @@ func newJob(kind string, total int) *Job {
 
 // ID returns the job's identifier.
 func (j *Job) ID() string { return j.id }
+
+// tracer records into the job's trace, stamping each event with its ID.
+func (j *Job) tracer() obs.Tracer { return obs.WithJob(j.id, &j.trace) }
 
 func (j *Job) start() {
 	j.mu.Lock()

@@ -60,11 +60,9 @@ type Config struct {
 	JobTimeout time.Duration
 	// GridTimeout bounds one async grid job (0 = 15m).
 	GridTimeout time.Duration
-	// FlightRecorderSize bounds the global event ring behind GET
-	// /debug/events (<= 0 = obs.DefaultFlightRecorderSize).
-	FlightRecorderSize int
-	// RetainTraces bounds how many completed jobs keep their full trace
-	// for GET /jobs/{id}/trace (<= 0 = DefaultRetainTraces).
+	// RetainTraces bounds how many completed jobs stay in the job table,
+	// each with its full trace for GET /jobs/{id}/trace (<= 0 =
+	// DefaultRetainTraces).
 	RetainTraces int
 	// Version overrides the build version reported by GET /healthz and
 	// the mccd_build_info metric ("" = ResolveVersion()).
@@ -87,6 +85,17 @@ func (c Config) gridTimeout() time.Duration {
 	return c.GridTimeout
 }
 
+// DefaultRetainTraces is how many completed jobs the job table keeps when
+// Config.RetainTraces is unset.
+const DefaultRetainTraces = 16
+
+func (c Config) retainTraces() int {
+	if c.RetainTraces <= 0 {
+		return DefaultRetainTraces
+	}
+	return c.RetainTraces
+}
+
 // metrics is the service's counter set, registered on one obs.Registry
 // and rendered by GET /metrics.
 type metrics struct {
@@ -98,8 +107,6 @@ type metrics struct {
 	errors      *obs.Counter
 	gridCells   *obs.Counter
 	compileRTLs *obs.Counter
-	verifyViol  *obs.Counter
-	latency     *obs.Histogram
 	throughput  *obs.Histogram
 
 	// Labeled families behind the debug plane: end-to-end and queue-wait
@@ -112,18 +119,16 @@ type metrics struct {
 	tvRej        *obs.CounterVec
 }
 
-// observeVerify feeds the verifier-violation counters: the legacy total
-// plus the per-pass family (verify-each attributes each violation to the
-// pass that introduced it). Translation-validation rejections are counted
-// in their own family instead — a rejected duplication certificate is an
-// optimizer-correctness signal, not a semantic-verifier one.
+// observeVerify counts each violation under the pass that introduced it
+// (verify-each attributes every one). Translation-validation rejections
+// are counted in their own family — a rejected duplication certificate is
+// an optimizer-correctness signal, not a semantic-verifier one.
 func (m *metrics) observeVerify(vs []verify.Violation) {
 	for _, v := range vs {
 		if v.Rule == verify.RuleTranslation {
 			m.tvRej.WithLabelValues(v.Pass).Inc()
 			continue
 		}
-		m.verifyViol.Inc()
 		m.verifyByPass.WithLabelValues(v.Pass).Inc()
 	}
 }
@@ -157,10 +162,8 @@ func newMetrics(pool *Pool, cache *Cache, jobsRunning func() int64, version stri
 	reg.GaugeFunc("mccd_workers_busy", "workers currently running a task", pool.Busy)
 	reg.CounterFunc("mccd_tasks_completed_total", "pool tasks completed", pool.Completed)
 	reg.CounterFunc("mccd_task_panics_total", "pool tasks that panicked", pool.Panics)
-	reg.GaugeFunc("mccd_jobs_running", "async jobs currently queued or running", jobsRunning)
-	m.latency = reg.Histogram("mccd_job_seconds", "per-job wall time (compile, measure, grid cell)", nil)
+	reg.GaugeFunc("mccd_jobs_running", "jobs currently queued or running (compile, measure and grid)", jobsRunning)
 	m.compileRTLs = reg.Counter("mccd_compile_rtls_total", "RTL instructions fed into the optimizer (cache misses only)")
-	m.verifyViol = reg.Counter("mccd_verify_violations_total", "semantic verifier violations reported by verify-each requests")
 	m.throughput = reg.Histogram("mccd_compile_rtls_per_second", "optimizer throughput per compile in input RTLs/sec", obs.ThroughputBuckets)
 	m.jobDur = reg.HistogramVec("mccd_job_duration_seconds",
 		"end-to-end job latency (grid jobs: per cell)", []string{"kind", "level", "machine"}, nil)
@@ -179,15 +182,14 @@ func newMetrics(pool *Pool, cache *Cache, jobsRunning func() int64, version stri
 }
 
 // Service is the compile-and-measure engine behind cmd/mccd: one worker
-// pool, one content-addressed result cache, and an async job table.
+// pool, one content-addressed result cache, and a job table that holds
+// every running job plus the last RetainTraces completed ones.
 type Service struct {
-	cfg      Config
-	pool     *Pool
-	cache    *Cache
-	met      *metrics
-	recorder *obs.FlightRecorder
-	traces   *traceStore
-	version  string
+	cfg     Config
+	pool    *Pool
+	cache   *Cache
+	met     *metrics
+	version string
 
 	// baseCtx parents every grid job; cancel aborts them if a drain
 	// deadline expires.
@@ -196,6 +198,7 @@ type Service struct {
 
 	mu     sync.Mutex
 	jobs   map[string]*Job
+	done   []string // completed job IDs, oldest first
 	closed bool
 	grids  sync.WaitGroup // running grid coordinators, waited on by Close
 }
@@ -203,13 +206,11 @@ type Service struct {
 // New builds and starts a service.
 func New(cfg Config) *Service {
 	s := &Service{
-		cfg:      cfg,
-		pool:     NewPool(cfg.Workers, cfg.QueueDepth),
-		cache:    NewCache(cfg.CacheEntries),
-		recorder: obs.NewFlightRecorder(cfg.FlightRecorderSize),
-		traces:   newTraceStore(cfg.RetainTraces),
-		version:  cfg.Version,
-		jobs:     make(map[string]*Job),
+		cfg:     cfg,
+		pool:    NewPool(cfg.Workers, cfg.QueueDepth),
+		cache:   NewCache(cfg.CacheEntries),
+		version: cfg.Version,
+		jobs:    make(map[string]*Job),
 	}
 	if s.version == "" {
 		s.version = ResolveVersion()
@@ -222,27 +223,20 @@ func New(cfg Config) *Service {
 // Version returns the effective build version.
 func (s *Service) Version() string { return s.version }
 
-// JobEvents returns the retained trace of a job (running, or among the
-// last RetainTraces completed ones).
+// JobEvents returns the trace of a job in the job table (running, or
+// among the last RetainTraces completed ones).
 func (s *Service) JobEvents(id string) ([]*obs.Event, error) {
-	evs, ok := s.traces.events(id)
-	if !ok {
-		return nil, ErrNotFound
+	j, err := s.job(id)
+	if err != nil {
+		return nil, err
 	}
-	return evs, nil
+	return j.trace.Events(), nil
 }
 
-// jobTracer builds the tracer that records one job's span tree: events
-// fan out to the job's retained trace and the global flight recorder,
-// each stamped with the job ID.
-func (s *Service) jobTracer(id string) obs.Tracer {
-	return obs.WithJob(id, obs.Multi(s.traces.begin(id), s.recorder))
-}
-
-// beginJob registers a synchronous job in the job table and starts its
-// trace. Asynchronous grid jobs register inline in SubmitGrid (their
-// insertion is atomic with the grids waitgroup) and call jobTracer
-// directly.
+// beginJob registers a synchronous job in the job table and returns the
+// tracer that records its span tree. Asynchronous grid jobs register
+// inline in SubmitGrid (their insertion is atomic with the grids
+// waitgroup).
 func (s *Service) beginJob(job *Job) (obs.Tracer, error) {
 	s.mu.Lock()
 	if s.closed {
@@ -251,27 +245,23 @@ func (s *Service) beginJob(job *Job) (obs.Tracer, error) {
 	}
 	s.jobs[job.ID()] = job
 	s.mu.Unlock()
-	return s.jobTracer(job.ID()), nil
+	return job.tracer(), nil
 }
 
-// finishJob completes a job and prunes the job table in step with trace
-// retention, so /jobs stays bounded by the last RetainTraces completed
-// jobs (running jobs are never pruned).
+// finishJob completes a job and evicts the oldest completed jobs past
+// RetainTraces; an evicted job's table entry and trace go together, so
+// /jobs and every /jobs/{id} endpoint agree (running jobs are never
+// evicted).
 func (s *Service) finishJob(job *Job, result any, err error) {
 	job.finish(result, err)
-	evicted := s.traces.complete(job.ID())
-	if len(evicted) == 0 {
-		return
-	}
 	s.mu.Lock()
-	for _, id := range evicted {
-		delete(s.jobs, id)
+	defer s.mu.Unlock()
+	s.done = append(s.done, job.id)
+	for len(s.done) > s.cfg.retainTraces() {
+		delete(s.jobs, s.done[0])
+		s.done = s.done[1:]
 	}
-	s.mu.Unlock()
 }
-
-// Registry exposes the metric registry (for GET /metrics and tests).
-func (s *Service) Registry() *obs.Registry { return s.met.reg }
 
 // Pool exposes the worker pool so callers (cmd/mccd's grid path, tests)
 // can share it.
@@ -741,7 +731,6 @@ func (s *Service) runSync(ctx context.Context, meta jobMeta, fn func(context.Con
 	select {
 	case o := <-ch:
 		elapsed := time.Since(start).Seconds() // det:allow nodeterminism — latency/queue telemetry
-		s.met.latency.Observe(elapsed)
 		s.met.jobDur.WithLabelValues(meta.kind, meta.level, meta.machine).Observe(elapsed)
 		return o.v, o.err
 	case <-ctx.Done():
@@ -845,7 +834,7 @@ func (s *Service) SubmitGrid(req GridRequest) (JobView, error) {
 	s.jobs[job.ID()] = job
 	s.grids.Add(1)
 	s.mu.Unlock()
-	tr := s.jobTracer(job.ID())
+	tr := job.tracer()
 
 	go func() {
 		defer s.grids.Done()
@@ -863,7 +852,6 @@ func (s *Service) SubmitGrid(req GridRequest) (JobView, error) {
 			OnCell: func(c *bench.Cell) {
 				job.step()
 				s.met.gridCells.Inc()
-				s.met.latency.Observe(c.Run.Elapsed.Seconds())
 				s.met.jobDur.WithLabelValues("grid", c.Level.String(), c.Machine).
 					Observe(c.Run.Elapsed.Seconds())
 				s.met.queueWait.WithLabelValues("grid", c.Level.String(), c.Machine).
@@ -895,13 +883,22 @@ func (s *Service) SubmitGrid(req GridRequest) (JobView, error) {
 	return job.View(), nil
 }
 
-// Job returns a snapshot of the identified job.
-func (s *Service) Job(id string) (JobView, error) {
+// job looks a job up in the job table.
+func (s *Service) job(id string) (*Job, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	s.mu.Unlock()
 	if !ok {
-		return JobView{}, ErrNotFound
+		return nil, ErrNotFound
+	}
+	return j, nil
+}
+
+// Job returns a snapshot of the identified job.
+func (s *Service) Job(id string) (JobView, error) {
+	j, err := s.job(id)
+	if err != nil {
+		return JobView{}, err
 	}
 	return j.View(), nil
 }

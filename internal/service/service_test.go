@@ -128,15 +128,15 @@ func TestCacheKeyCanonical(t *testing.T) {
 	if n := s.met.compileRTLs.Value(); n <= 0 {
 		t.Fatalf("mccd_compile_rtls_total = %d after real compiles, want > 0", n)
 	}
-	if n, want := s.met.throughput.Count(), int64(len(groups)+1); n != want {
+	if n, want := s.met.throughput.Snapshot().Count, int64(len(groups)+1); n != want {
 		t.Fatalf("mccd_compile_rtls_per_second count = %d, want %d (one per distinct compile)", n, want)
 	}
 }
 
 // TestVerifyEachWire covers the verify-each mode on the wire: the flag
 // participates in both cache keys, a clean program reports no violations
-// (and increments no violation counter), and the response carries the
-// structured diagnostics via Static.Verify.
+// (and adds no series to the by-pass violation family), and the response
+// carries the structured diagnostics via Static.Verify.
 func TestVerifyEachWire(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close(context.Background())
@@ -161,8 +161,10 @@ func TestVerifyEachWire(t *testing.T) {
 	if plain.Assembly != verified.Assembly {
 		t.Fatal("verify_each changed the compiled output")
 	}
-	if n := s.met.verifyViol.Value(); n != 0 {
-		t.Fatalf("mccd_verify_violations_total = %d after clean compiles, want 0", n)
+	var prom strings.Builder
+	s.met.reg.WriteProm(&prom)
+	if strings.Contains(prom.String(), "mccd_verify_violations_by_pass_total{") {
+		t.Fatalf("clean compiles counted verifier violations:\n%s", prom.String())
 	}
 
 	mplain := MeasureRequest{Program: "queens"}
