@@ -356,6 +356,25 @@ func BenchmarkStressCompile(b *testing.B) {
 	}
 }
 
+// BenchmarkOracleBand runs difftest.Check with fuzzjump's options (every
+// machine, all four levels, input "fuzzjump", default budgets) over
+// generator seeds 1-6: the path of perfbench's fuzz-oracle workload, and
+// its profiling target (`-cpuprofile`, `-memprofile`). The op is the whole
+// band; ms/seed is its cost per seed, generation included.
+func BenchmarkOracleBand(b *testing.B) {
+	const seeds = 6
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for s := int64(1); s <= seeds; s++ {
+			v := difftest.Check(difftest.Generate(s), difftest.Options{Input: []byte("fuzzjump"), Seed: s})
+			if v.Failed() || v.Skipped {
+				b.Fatalf("seed %d: %+v", s, v)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N*seeds), "ms/seed")
+}
+
 // BenchmarkVM measures interpreter throughput (instructions/op reported).
 func BenchmarkVM(b *testing.B) {
 	p := bench.ProgramByName("sieve")

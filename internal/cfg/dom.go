@@ -6,12 +6,12 @@ import "math/bits"
 // Cooper–Harvey–Kennedy algorithm ("A Simple, Fast Dominance Algorithm"):
 // an idom fixpoint over reverse postorder. Dominance queries answer in
 // O(1) from an Euler interval numbering of the dominator tree. The
-// replication sweeps recompute dominators for every jump they consider, so
-// this path dominates (sic) the differential fuzzer's and the optimizer's
-// profile — the earlier set-based formulation was quadratic in blocks and
-// made large replicated functions take seconds per sweep. The tree's
-// storage is borrowed from the function's Scratch arena; Release returns
-// it for the next ComputeDominators to reuse.
+// replication engine's reducibility guard computes dominators for every
+// edit it attempts, so this path dominates (sic) the differential fuzzer's
+// and the optimizer's profile — the earlier set-based formulation was
+// quadratic in blocks and made large replicated functions take seconds per
+// sweep. The tree's storage is borrowed from the function's Scratch arena;
+// Release returns it for the next ComputeDominators to reuse.
 type Dominators struct {
 	E *Edges
 	// idom[i] is the immediate dominator's index, or -1 for the entry and
@@ -21,6 +21,10 @@ type Dominators struct {
 	// dominator tree; a dominates b iff a's interval encloses b's.
 	// Unreachable blocks keep pre == 0 (no interval).
 	pre, post []int32
+	// finish[i] is block i's postorder number in the depth-first search
+	// of the flow graph that ordered the fixpoint, or -1 for unreachable
+	// blocks. Reducible reads the search's retreating edges off it.
+	finish []int32
 
 	f   *Func
 	buf []int32
@@ -34,7 +38,7 @@ func (d *Dominators) Release() {
 	}
 	d.f.Scratch().PutInts(d.buf)
 	d.buf = nil
-	d.idom, d.pre, d.post = nil, nil, nil
+	d.idom, d.pre, d.post, d.finish = nil, nil, nil, nil
 }
 
 // ComputeDominators computes the dominator tree on the given edge snapshot.
@@ -43,9 +47,9 @@ func ComputeDominators(e *Edges) *Dominators {
 	f := e.F
 	n := len(f.Blocks)
 	scr := f.Scratch()
-	keep := scr.Ints(3 * n)
+	keep := scr.Ints(4 * n)
 	d := &Dominators{E: e, f: f, buf: keep}
-	d.idom, d.pre, d.post = keep[:n:n], keep[n:2*n:2*n], keep[2*n:]
+	d.idom, d.pre, d.post, d.finish = keep[:n:n], keep[n:2*n:2*n], keep[2*n:3*n:3*n], keep[3*n:]
 	for i := 0; i < n; i++ {
 		d.idom[i] = -1
 		d.pre[i] = 0
@@ -55,15 +59,15 @@ func ComputeDominators(e *Edges) *Dominators {
 		return d
 	}
 
-	// Temporary arrays: rpo numbers, postorder list, dominator-tree child
-	// links, and a two-word DFS stack (block, successor cursor).
-	tmp := scr.Ints(6 * n)
-	rpoNum := tmp[:n:n] // block index -> postorder number; -1 unreachable, -2 on stack
-	postList := tmp[n : 2*n : 2*n]
-	childHead := tmp[2*n : 3*n : 3*n]
-	childNext := tmp[3*n : 4*n : 4*n]
-	stackB := tmp[4*n : 5*n : 5*n]
-	stackS := tmp[5*n:]
+	// Temporary arrays: postorder list, dominator-tree child links, and a
+	// two-word DFS stack (block, successor cursor).
+	tmp := scr.Ints(5 * n)
+	rpoNum := d.finish // block index -> postorder number; -1 unreachable, -2 on stack
+	postList := tmp[:n:n]
+	childHead := tmp[n : 2*n : 2*n]
+	childNext := tmp[2*n : 3*n : 3*n]
+	stackB := tmp[3*n : 4*n : 4*n]
+	stackS := tmp[4*n:]
 	for i := 0; i < n; i++ {
 		rpoNum[i] = -1
 	}
@@ -302,49 +306,35 @@ func InnermostLoopContaining(loops []*Loop, idx int) *Loop {
 	return best
 }
 
-// IsReducible reports whether the flow graph is reducible: every retreating
-// edge found by a depth-first search must be a back edge, i.e. its target
-// must dominate its source. The replication algorithm rolls back any
-// replication that breaks this property (step 6 of JUMPS).
+// Reducible reports whether the flow graph the dominators were computed on
+// is reducible: every edge that retreats in a depth-first search must be a
+// back edge, its target dominating its source. The search is the one that
+// ordered the dominator fixpoint, and an edge i -> j retreats in it exactly
+// when j finishes no earlier than i (j is i or one of its ancestors), so
+// the test reads the search's postorder numbers instead of searching again.
+// The replication algorithm rolls back any replication that breaks this
+// property (step 6 of JUMPS).
+func (d *Dominators) Reducible() bool {
+	for i, succs := range d.E.Succs {
+		fi := d.finish[i]
+		if fi < 0 {
+			continue // unreachable: the search never leaves it
+		}
+		for _, s := range succs {
+			if j := s.Index; d.finish[j] >= fi && !d.Dominates(j, i) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// IsReducible reports whether f's flow graph is reducible; see
+// Dominators.Reducible.
 func IsReducible(f *Func) bool {
 	e := ComputeEdges(f)
 	d := ComputeDominators(e)
-	n := len(f.Blocks)
-	if n == 0 {
-		d.Release()
-		e.Release()
-		return true
-	}
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	scr := f.Scratch()
-	color := scr.Ints(n)
-	for i := range color {
-		color[i] = white
-	}
-	ok := true
-	var dfs func(i int)
-	dfs = func(i int) {
-		color[i] = gray
-		for _, s := range e.Succs[i] {
-			j := s.Index
-			switch color[j] {
-			case white:
-				dfs(j)
-			case gray:
-				// Retreating edge i -> j: must be a true back edge.
-				if !d.Dominates(j, i) {
-					ok = false
-				}
-			}
-		}
-		color[i] = black
-	}
-	dfs(0)
-	scr.PutInts(color)
+	ok := d.Reducible()
 	d.Release()
 	e.Release()
 	return ok

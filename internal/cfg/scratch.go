@@ -32,6 +32,12 @@ func (f *Func) Scratch() *Scratch {
 	return f.scratch
 }
 
+// DropScratch lets the garbage collector have the function's arena and
+// every buffer in it; the next analysis starts a cold one. The pipeline
+// calls it when it is done with a function, so a compiled program that
+// outlives its compile does not hold its analysis buffers.
+func (f *Func) DropScratch() { f.scratch = nil }
+
 // Words borrows a zeroed []uint64 of length n.
 func (s *Scratch) Words(n int) []uint64 {
 	if k := len(s.words); k > 0 {

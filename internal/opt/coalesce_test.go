@@ -17,7 +17,8 @@ import (
 // register allocation, in its order: the prologue, the do-while loop (with
 // replication counted as progress only while it lowers the jump count or
 // folds a branch) and the finishing legalization and jump-table lowering.
-func figure3(f *cfg.Func, m *machine.Machine, replicateF func(*cfg.Func, replicate.Options) replicate.Result) {
+// merge stands in for opt.MergeBlocks.
+func figure3(f *cfg.Func, m *machine.Machine, replicateF func(*cfg.Func, replicate.Options) replicate.Result, merge func(*cfg.Func) bool) {
 	machine.Legalize(f, m)
 	opt.BranchChaining(f)
 	opt.DeadCodeElimination(f)
@@ -40,7 +41,7 @@ func figure3(f *cfg.Func, m *machine.Machine, replicateF func(*cfg.Func, replica
 		opt.DeadCodeElimination(f)
 		changed = replicate.CountJumps(f) < before || r.BranchesFolded > 0 || changed
 		changed = opt.DeadCodeElimination(f) || changed
-		changed = opt.MergeBlocks(f) || changed
+		changed = merge(f) || changed
 		if !changed {
 			break
 		}
@@ -49,12 +50,9 @@ func figure3(f *cfg.Func, m *machine.Machine, replicateF func(*cfg.Func, replica
 	encode.LowerJumpTables(f, m)
 }
 
-// TestCoalescingMatchesRebuild checks the coalescer's in-place updates:
-// after every merge its liveness and interference adjacency must equal a
-// fresh ComputeLiveness and buildInterference. The functions are the
-// Table-3 programs and generated fuzz programs, compiled by mcc and taken
-// through the Figure-3 passes at every level on every machine.
-func TestCoalescingMatchesRebuild(t *testing.T) {
+// coalesceSources are the programs the in-place-update checks compile: the
+// Table-3 programs and generated fuzz programs.
+func coalesceSources() []string {
 	var srcs []string
 	for _, p := range bench.Programs() {
 		srcs = append(srcs, p.Source)
@@ -64,20 +62,33 @@ func TestCoalescingMatchesRebuild(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		srcs = append(srcs, difftest.Generate(seed))
 	}
-	levels := []func(*cfg.Func, replicate.Options) replicate.Result{
-		func(*cfg.Func, replicate.Options) replicate.Result { return replicate.Result{} },
-		replicate.LOOPS, replicate.JUMPS, replicate.DUPS,
-	}
+	return srcs
+}
+
+// allLevels are the replication passes of the four levels, SIMPLE's
+// being none.
+var allLevels = []func(*cfg.Func, replicate.Options) replicate.Result{
+	func(*cfg.Func, replicate.Options) replicate.Result { return replicate.Result{} },
+	replicate.LOOPS, replicate.JUMPS, replicate.DUPS,
+}
+
+// TestCoalescingMatchesRebuild checks the coalescer's in-place updates:
+// after every merge its liveness and interference adjacency must equal a
+// fresh ComputeLiveness and buildInterference. The functions are the
+// Table-3 programs and generated fuzz programs, compiled by mcc and taken
+// through the Figure-3 passes at every level on every machine.
+func TestCoalescingMatchesRebuild(t *testing.T) {
+	srcs := coalesceSources()
 	merges := 0
 	for _, m := range machine.All() {
-		for _, rep := range levels {
+		for _, rep := range allLevels {
 			for _, src := range srcs {
 				p, err := mcc.Compile(src)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, f := range p.Funcs {
-					figure3(f, m, rep)
+					figure3(f, m, rep, opt.MergeBlocks)
 					n, err := opt.CoalesceChecked(f, m)
 					if err != nil {
 						t.Fatalf("%s: %v", m.Name, err)

@@ -112,115 +112,194 @@ func (k exprK) usesReg(r rtl.Reg) bool {
 	return k.a.usesReg(r) || k.kind == exprBin && k.b.usesReg(r)
 }
 
-// vnState is the value-numbering state within one basic block. The maps are
-// allocated lazily: most blocks never populate all four.
+// vnState is the value-numbering state within one basic block: four flat
+// tables of facts, one fact per key, searched linearly. The tables stay
+// small — a block's expression table holds 32 facts or fewer nearly every
+// time a register is redefined, its constant and memory tables fewer
+// still — so a scan beats hashing the keys, and copying a state for a
+// successor copies four short slices instead of four maps.
 type vnState struct {
 	m       *machine.Machine
-	constOf map[rtl.Reg]int64
-	copyOf  map[rtl.Reg]rtl.Reg
-	exprOf  map[exprK]rtl.Reg // expression key -> register holding it
-	memVal  map[opK]rtl.Reg   // memory operand key -> register holding its value
+	constOf []constFact
+	copyOf  []copyFact
+	exprOf  []exprFact // expression key -> register holding it
+	memVal  []memFact  // memory operand key -> register holding its value
+}
+
+// constFact records that register r holds the constant v.
+type constFact struct {
+	r rtl.Reg
+	v int64
+}
+
+// copyFact records that register d holds a copy of register src.
+type copyFact struct {
+	d, src rtl.Reg
+}
+
+// exprFact records that register r holds the value of expression k.
+type exprFact struct {
+	k exprK
+	r rtl.Reg
+}
+
+// memFact records that register r holds the value stored at operand k.
+type memFact struct {
+	k opK
+	r rtl.Reg
 }
 
 func newVNState(m *machine.Machine) *vnState {
 	return &vnState{m: m}
 }
 
-func (s *vnState) setConst(r rtl.Reg, v int64) {
-	if s.constOf == nil {
-		s.constOf = map[rtl.Reg]int64{}
+// constVal returns the constant register r is known to hold.
+func (s *vnState) constVal(r rtl.Reg) (int64, bool) {
+	for i := range s.constOf {
+		if s.constOf[i].r == r {
+			return s.constOf[i].v, true
+		}
 	}
-	s.constOf[r] = v
+	return 0, false
+}
+
+// exprReg returns the register known to hold expression k.
+func (s *vnState) exprReg(k exprK) (rtl.Reg, bool) {
+	for i := range s.exprOf {
+		if f := &s.exprOf[i]; f.k == k {
+			return f.r, true
+		}
+	}
+	return rtl.RegNone, false
+}
+
+// memReg returns the register known to hold the value stored at k.
+func (s *vnState) memReg(k opK) (rtl.Reg, bool) {
+	for i := range s.memVal {
+		if f := &s.memVal[i]; f.k == k {
+			return f.r, true
+		}
+	}
+	return rtl.RegNone, false
+}
+
+func (s *vnState) setConst(r rtl.Reg, v int64) {
+	for i := range s.constOf {
+		if s.constOf[i].r == r {
+			s.constOf[i].v = v
+			return
+		}
+	}
+	s.constOf = append(s.constOf, constFact{r, v})
 }
 
 func (s *vnState) setCopy(d, src rtl.Reg) {
-	if s.copyOf == nil {
-		s.copyOf = map[rtl.Reg]rtl.Reg{}
+	for i := range s.copyOf {
+		if s.copyOf[i].d == d {
+			s.copyOf[i].src = src
+			return
+		}
 	}
-	s.copyOf[d] = src
+	s.copyOf = append(s.copyOf, copyFact{d, src})
 }
 
 func (s *vnState) setExpr(k exprK, r rtl.Reg) {
-	if s.exprOf == nil {
-		s.exprOf = map[exprK]rtl.Reg{}
+	for i := range s.exprOf {
+		if f := &s.exprOf[i]; f.k == k {
+			f.r = r
+			return
+		}
 	}
-	s.exprOf[k] = r
+	s.exprOf = append(s.exprOf, exprFact{k, r})
 }
 
 func (s *vnState) setMem(k opK, r rtl.Reg) {
-	if s.memVal == nil {
-		s.memVal = map[opK]rtl.Reg{}
+	for i := range s.memVal {
+		if f := &s.memVal[i]; f.k == k {
+			f.r = r
+			return
+		}
 	}
-	s.memVal[k] = r
+	s.memVal = append(s.memVal, memFact{k, r})
 }
 
-// clone copies the state for propagation into a single-predecessor
-// successor (extended-basic-block value numbering). Empty maps stay nil.
-func (s *vnState) clone() *vnState {
-	c := newVNState(s.m)
-	if len(s.constOf) > 0 {
-		c.constOf = make(map[rtl.Reg]int64, len(s.constOf))
-		for k, v := range s.constOf {
-			c.constOf[k] = v
-		}
-	}
-	if len(s.copyOf) > 0 {
-		c.copyOf = make(map[rtl.Reg]rtl.Reg, len(s.copyOf))
-		for k, v := range s.copyOf {
-			c.copyOf[k] = v
-		}
-	}
-	if len(s.exprOf) > 0 {
-		c.exprOf = make(map[exprK]rtl.Reg, len(s.exprOf))
-		for k, v := range s.exprOf {
-			c.exprOf[k] = v
-		}
-	}
-	if len(s.memVal) > 0 {
-		c.memVal = make(map[opK]rtl.Reg, len(s.memVal))
-		for k, v := range s.memVal {
-			c.memVal[k] = v
-		}
-	}
-	return c
+// copyFrom makes s a copy of o for propagation into a single-predecessor
+// successor (extended-basic-block value numbering), reusing s's tables.
+// An empty table of a fresh state stays nil.
+func (s *vnState) copyFrom(o *vnState) {
+	s.constOf = append(s.constOf[:0], o.constOf...)
+	s.copyOf = append(s.copyOf[:0], o.copyOf...)
+	s.exprOf = append(s.exprOf[:0], o.exprOf...)
+	s.memVal = append(s.memVal[:0], o.memVal...)
+}
+
+// reset empties every table, keeping their storage for reuse.
+func (s *vnState) reset() {
+	s.constOf, s.copyOf, s.exprOf, s.memVal = s.constOf[:0], s.copyOf[:0], s.exprOf[:0], s.memVal[:0]
 }
 
 // resolve follows copy chains to the canonical source register.
 func (s *vnState) resolve(r rtl.Reg) rtl.Reg {
 	for i := 0; i < 8; i++ {
-		c, ok := s.copyOf[r]
-		if !ok {
+		found := false
+		for j := range s.copyOf {
+			if s.copyOf[j].d == r {
+				r, found = s.copyOf[j].src, true
+				break
+			}
+		}
+		if !found {
 			return r
 		}
-		r = c
 	}
 	return r
 }
 
-// invalidateReg drops every piece of state that mentions r.
+// invalidateReg drops every fact that mentions r, as its key, its value or
+// an operand of its key (an OMem base or index included), compacting each
+// table in one pass.
 func (s *vnState) invalidateReg(r rtl.Reg) {
-	delete(s.constOf, r)
-	delete(s.copyOf, r)
-	for x, c := range s.copyOf {
-		if c == r {
-			delete(s.copyOf, x)
+	n := 0
+	for i := range s.constOf {
+		if s.constOf[i].r != r {
+			s.constOf[n] = s.constOf[i]
+			n++
 		}
 	}
-	for k, v := range s.exprOf {
-		if v == r || k.usesReg(r) {
-			delete(s.exprOf, k)
+	s.constOf = s.constOf[:n]
+	n = 0
+	for i := range s.copyOf {
+		if c := s.copyOf[i]; c.d != r && c.src != r {
+			s.copyOf[n] = c
+			n++
 		}
 	}
-	for k, v := range s.memVal {
-		if v == r || k.usesReg(r) {
-			delete(s.memVal, k)
+	s.copyOf = s.copyOf[:n]
+	n = 0
+	for i := range s.exprOf {
+		if f := &s.exprOf[i]; f.r != r && !f.k.usesReg(r) {
+			if n != i {
+				s.exprOf[n] = *f
+			}
+			n++
 		}
 	}
+	s.exprOf = s.exprOf[:n]
+	n = 0
+	for i := range s.memVal {
+		if f := &s.memVal[i]; f.r != r && !f.k.usesReg(r) {
+			if n != i {
+				s.memVal[n] = *f
+			}
+			n++
+		}
+	}
+	s.memVal = s.memVal[:n]
 }
 
 // invalidateMemory drops all memory-derived state (after stores and calls).
 func (s *vnState) invalidateMemory() {
-	clear(s.memVal)
+	s.memVal = s.memVal[:0]
 	// Expressions never read memory (only Move does), so exprOf survives.
 }
 
@@ -241,7 +320,7 @@ func (s *vnState) substSrc(in *rtl.Inst, o *rtl.Operand) {
 	switch o.Kind {
 	case rtl.OReg:
 		r := s.resolve(o.Reg)
-		if v, ok := s.constOf[r]; ok && try(rtl.Imm(v)) {
+		if v, ok := s.constVal(r); ok && try(rtl.Imm(v)) {
 			return
 		}
 		if r != o.Reg {
@@ -259,7 +338,7 @@ func (s *vnState) substSrc(in *rtl.Inst, o *rtl.Operand) {
 		}
 		fallthrough
 	case rtl.OLocal, rtl.OGlobal:
-		if r, ok := s.memVal[opKey(*o)]; ok {
+		if r, ok := s.memReg(opKey(*o)); ok {
 			try(rtl.R(r))
 		}
 	}
@@ -280,18 +359,52 @@ func (s *vnState) substSrc(in *rtl.Inst, o *rtl.Operand) {
 func CommonSubexpressions(f *cfg.Func, m *machine.Machine) bool {
 	changed := false
 	e := cfg.ComputeEdges(f)
-	// exit[i] is block i's end-of-block state, for forward propagation.
-	exit := make([]*vnState, len(f.Blocks))
+	n := len(f.Blocks)
+	// A block inherits the exit state of its single predecessor when that
+	// predecessor comes first in layout. Layout order approximates reverse
+	// postorder for the front-end-generated graphs; a predecessor later in
+	// layout (a back edge) simply yields a fresh state.
+	inherits := func(b *cfg.Block) int {
+		if preds := e.Preds[b.Index]; len(preds) == 1 && preds[0].Index < b.Index {
+			return preds[0].Index
+		}
+		return -1
+	}
+	// exit[i] is block i's end-of-block state, kept while heirs[i] blocks
+	// still have to inherit it. The last heir takes the state itself and
+	// the others copy it; a state no block is left to inherit goes to
+	// free, for a later block to reuse its tables.
+	exit := make([]*vnState, n)
+	heirs := f.Scratch().Ints(n)
+	clear(heirs)
+	for _, b := range f.Blocks {
+		if p := inherits(b); p >= 0 {
+			heirs[p]++
+		}
+	}
+	var free []*vnState
+	empty := func() *vnState {
+		k := len(free)
+		if k == 0 {
+			return newVNState(m)
+		}
+		s := free[k-1]
+		free = free[:k-1]
+		s.reset()
+		return s
+	}
 	for _, b := range f.Blocks {
 		var s *vnState
-		// Inherit from a single already-processed predecessor. Layout
-		// order approximates reverse postorder for the fronted-generated
-		// graphs; a predecessor later in layout (a back edge) simply
-		// yields a fresh state.
-		if preds := e.Preds[b.Index]; len(preds) == 1 && preds[0].Index < b.Index && exit[preds[0].Index] != nil {
-			s = exit[preds[0].Index].clone()
-		} else {
-			s = newVNState(m)
+		switch p := inherits(b); {
+		case p < 0:
+			s = empty()
+		case heirs[p] == 1:
+			s, exit[p] = exit[p], nil
+			heirs[p] = 0
+		default:
+			s = empty()
+			s.copyFrom(exit[p])
+			heirs[p]--
 		}
 		for ii := range b.Insts {
 			in := &b.Insts[ii]
@@ -315,7 +428,7 @@ func CommonSubexpressions(f *cfg.Func, m *machine.Machine) bool {
 			// Reuse an available expression.
 			if (in.Kind == rtl.Bin || in.Kind == rtl.Un) && in.Dst.Kind == rtl.OReg {
 				if key, ok := exprKey(in); ok {
-					if r, ok := s.exprOf[key]; ok && r != in.Dst.Reg {
+					if r, ok := s.exprReg(key); ok && r != in.Dst.Reg {
 						*in = rtl.Inst{Kind: rtl.Move, Dst: in.Dst, Src: rtl.R(r)}
 					}
 				}
@@ -325,7 +438,7 @@ func CommonSubexpressions(f *cfg.Func, m *machine.Machine) bool {
 			// propagation then retires r' entirely.
 			if in.Kind == rtl.Move && in.Dst.Kind == rtl.OReg &&
 				(in.Src.Kind == rtl.OAddrLocal || in.Src.Kind == rtl.OAddrGlobal || in.Src.Kind == rtl.OImm) {
-				if r, ok := s.exprOf[matKey(in.Src)]; ok && r != in.Dst.Reg {
+				if r, ok := s.exprReg(matKey(in.Src)); ok && r != in.Dst.Reg {
 					*in = rtl.Inst{Kind: rtl.Move, Dst: in.Dst, Src: rtl.R(r)}
 				}
 			}
@@ -376,8 +489,13 @@ func CommonSubexpressions(f *cfg.Func, m *machine.Machine) bool {
 				}
 			}
 		}
-		exit[b.Index] = s
+		if heirs[b.Index] > 0 {
+			exit[b.Index] = s
+		} else {
+			free = append(free, s)
+		}
 	}
+	f.Scratch().PutInts(heirs)
 	e.Release()
 	return changed
 }

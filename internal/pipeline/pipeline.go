@@ -610,6 +610,8 @@ func optimizeFunc(f *cfg.Func, c Config) Stats {
 			TimeNS: funcStart.UnixNano(), DurNS: int64(time.Since(funcStart)),
 		})
 	}
+	// Nothing reads the analysis arena after the pipeline.
+	f.DropScratch()
 	return st
 }
 

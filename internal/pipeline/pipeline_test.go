@@ -2,8 +2,10 @@ package pipeline_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
+	"repro/internal/cfg"
 	"repro/internal/machine"
 	"repro/internal/mcc"
 	"repro/internal/pipeline"
@@ -341,5 +343,24 @@ func TestLevelsWithOptions(t *testing.T) {
 				t.Errorf("%s opts[%d]: output %q, want %q", pr.name, oi, got.Output, want.Output)
 			}
 		}
+	}
+}
+
+// TestOptimizeDropsArena checks that a compiled function does not keep its
+// analysis arena: after Optimize, the first ComputeEdges on it starts a
+// cold arena and allocates, where a warm one would allocate nothing.
+func TestOptimizeDropsArena(t *testing.T) {
+	prog, err := mcc.Compile(programs[0].src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipeline.Optimize(prog, pipeline.Config{Machine: machine.SPARC, Level: pipeline.Jumps, Jobs: 1})
+	f := prog.Funcs[0]
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cfg.ComputeEdges(f).Release()
+	runtime.ReadMemStats(&after)
+	if after.Mallocs == before.Mallocs {
+		t.Error("the first ComputeEdges after Optimize allocated nothing: the function kept its arena")
 	}
 }

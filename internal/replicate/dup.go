@@ -101,17 +101,35 @@ func (u *undoLog) rollback() {
 // applyGuarded performs one speculative duplication: edit applies the
 // structural change, recording everything it does into the fresh undo log
 // it is handed. The edit is kept only if the flow graph remains reducible
-// (the algorithms' central safety property, step 6 of the paper); otherwise
-// — or always, under the ForceRollback fault injection — the undo log rolls
-// the function back byte-identically and applyGuarded reports false.
-func applyGuarded(f *cfg.Func, opts Options, edit func(*undoLog)) bool {
+// (the algorithms' central safety property, step 6 of the paper);
+// otherwise — or always, under the ForceRollback fault injection — the
+// undo log rolls the function back byte-identically and applyGuarded
+// returns nil. A kept edit returns the flow analysis the check computed:
+// the dominators of the post-edit flow graph, whose E holds its edges. The
+// JUMPS sweep carries that analysis on to its next jump; every other caller
+// hands it to releaseFlow.
+func applyGuarded(f *cfg.Func, opts Options, edit func(*undoLog)) *cfg.Dominators {
 	u := beginUndo(f)
 	edit(u)
-	if opts.ForceRollback || (!cfg.IsReducible(f) && !opts.ForceKeepIrreducible) {
+	if opts.ForceRollback {
 		u.rollback()
-		return false
+		return nil
 	}
-	return true
+	d := cfg.ComputeDominators(cfg.ComputeEdges(f))
+	if !d.Reducible() && !opts.ForceKeepIrreducible {
+		releaseFlow(d)
+		u.rollback()
+		return nil
+	}
+	return d
+}
+
+// releaseFlow returns a flow analysis — the dominators and the edges they
+// were computed on — to the function's Scratch arena.
+func releaseFlow(d *cfg.Dominators) {
+	e := d.E
+	d.Release()
+	e.Release()
 }
 
 // maxFutile bounds consecutive duplications that fail to lower the pass's
@@ -127,30 +145,37 @@ const maxFutile = 16
 // recounts its jumps (CountJumps), DUPS keeps a running count of its
 // decided edges (countDecidedEdges).
 type budget struct {
+	f      *cfg.Func
 	opts   Options
 	reps   int
 	futile int
 	best   int
+	// rtls is the function's RTL count, kept current at the pass's
+	// mutation points: recounted after each applied duplication (spent)
+	// and lowered by one per deleted jump (deletedJump). Rollbacks restore
+	// the function, so they leave it as it was.
+	rtls int
 }
 
-// newBudget opens a budget for one pass whose profitability metric reads
-// metric when the pass starts.
-func newBudget(opts Options, metric int) *budget {
-	return &budget{opts: opts, best: metric}
+// newBudget opens a budget for one pass over f whose profitability metric
+// reads metric when the pass starts.
+func newBudget(f *cfg.Func, opts Options, metric int) *budget {
+	return &budget{f: f, opts: opts, best: metric, rtls: f.NumRTLs()}
 }
 
 // exhausted reports whether the pass must stop: duplication bound reached,
 // function grown past its RTL ceiling, or the futility cutoff tripped.
-func (g *budget) exhausted(f *cfg.Func) bool {
+func (g *budget) exhausted() bool {
 	return g.reps >= maxReplications ||
 		g.futile >= maxFutile ||
-		f.NumRTLs() > g.opts.maxFuncRTLs()
+		g.rtls > g.opts.maxFuncRTLs()
 }
 
 // spent accounts one applied duplication, after which the pass's
 // profitability metric reads now, for the futility cutoff.
 func (g *budget) spent(now int) {
 	g.reps++
+	g.rtls = g.f.NumRTLs()
 	if now < g.best {
 		g.best = now
 		g.futile = 0
@@ -158,3 +183,7 @@ func (g *budget) spent(now int) {
 		g.futile++
 	}
 }
+
+// deletedJump accounts one jump to the positionally next block, deleted
+// without copying anything.
+func (g *budget) deletedJump() { g.rtls-- }

@@ -26,14 +26,18 @@ import (
 // JUMPS-final flow graph; the unconditional jump it leaves in the copy is
 // replicated away by the trailing JUMPS sweep, exactly as the paper's
 // replication kills the jumps ordinary code generation leaves behind.
-func DUPS(f *cfg.Func, opts Options) Result {
-	res := JUMPS(f, opts)
+func DUPS(f *cfg.Func, opts Options) Result { return dups(f, opts, JUMPS) }
+
+// dups is DUPS with its jump-replication leg supplied by the caller: the
+// seam through which the tests check every JUMPS sweep DUPS runs.
+func dups(f *cfg.Func, opts Options, jumpsLeg func(*cfg.Func, Options) Result) Result {
+	res := jumpsLeg(f, opts)
 	if res.Changed {
 		return res
 	}
 	res.Merge(condElim(f, opts))
 	if res.Changed {
-		res.Merge(JUMPS(f, opts))
+		res.Merge(jumpsLeg(f, opts))
 	}
 	return res
 }
@@ -46,7 +50,7 @@ func DUPS(f *cfg.Func, opts Options) Result {
 // pass.
 func condElim(f *cfg.Func, opts Options) Result {
 	c := newFolder(f, opts)
-	for !c.g.exhausted(f) {
+	for !c.g.exhausted() {
 		if c.sweep() == 0 {
 			break
 		}
@@ -72,7 +76,7 @@ type folder struct {
 // edges once.
 func newFolder(f *cfg.Func, opts Options) *folder {
 	decided := countDecidedEdges(f)
-	return &folder{f: f, opts: opts, g: newBudget(opts, decided), blacklist: map[jumpKey]bool{}, decided: decided}
+	return &folder{f: f, opts: opts, g: newBudget(f, opts, decided), blacklist: map[jumpKey]bool{}, decided: decided}
 }
 
 // edgeKind classifies how control flows from a predecessor into the test
@@ -163,7 +167,7 @@ func foldable(f *cfg.Func, t *cfg.Block) bool {
 // of each. Returns the number of folds applied.
 func (c *folder) sweep() int {
 	made := 0
-	for pi := 0; pi < len(c.f.Blocks) && !c.g.exhausted(c.f); pi++ {
+	for pi := 0; pi < len(c.f.Blocks) && !c.g.exhausted(); pi++ {
 		if c.foldFrom(c.f.Blocks[pi]) {
 			made++
 		}
@@ -233,7 +237,7 @@ func applyFold(f *cfg.Func, opts Options, p, t *cfg.Block, kind edgeKind, taken 
 		dest = f.Blocks[t.Index+1].Label
 	}
 	var nb *cfg.Block
-	ok := applyGuarded(f, opts, func(u *undoLog) {
+	kept := applyGuarded(f, opts, func(u *undoLog) {
 		nb = t.Clone()
 		nb.Label = f.NewLabel()
 		// The comparison (and everything before it) is kept — values and
@@ -258,9 +262,10 @@ func applyFold(f *cfg.Func, opts Options, p, t *cfg.Block, kind edgeKind, taken 
 			pt.Target = nb.Label
 		}
 	})
-	if !ok {
+	if kept == nil {
 		return nil
 	}
+	releaseFlow(kept)
 	if opts.OnCertificate != nil {
 		opts.OnCertificate(f, &tv.Certificate{
 			Kind: tv.KindFold, Func: f.Name,

@@ -39,7 +39,7 @@ func jumpsTrace(t *testing.T, src string, finder func(*graphSnapshot) pathFinder
 	w := obs.NewJSONLWriter(&buf)
 	w.OmitTimings = true
 	opts.Tracer = w
-	res = jumps(f, opts, finder)
+	res = jumps(f, opts, finder, nil)
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}

@@ -183,31 +183,64 @@ func CountJumps(f *cfg.Func) int {
 // exhausted, or progress stalls. The Result reports whether anything
 // changed along with per-function replication counters. Unreachable blocks
 // may remain; callers run dead code elimination afterwards, per Figure 3.
-func JUMPS(f *cfg.Func, opts Options) Result { return jumps(f, opts, oracleFinder) }
+func JUMPS(f *cfg.Func, opts Options) Result { return jumps(f, opts, oracleFinder, nil) }
 
-// jumps is JUMPS with step 1's path finder supplied by the caller: the
-// seam through which the tests run the Floyd–Warshall reference.
-func jumps(f *cfg.Func, opts Options, finder func(*graphSnapshot) pathFinder) Result {
-	var res Result
-	blacklist := map[jumpKey]bool{}
-	g := newBudget(opts, CountJumps(f))
-	for !g.exhausted(f) {
-		made := sweep(f, opts, finder, blacklist, g, &res)
-		if made == 0 {
+// jumpsPass is one JUMPS invocation over one function: its growth budget,
+// the blacklist of jumps whose replication failed, and its counters.
+type jumpsPass struct {
+	f    *cfg.Func
+	opts Options
+	// finder builds step 1's path finder over each sweep's snapshot.
+	finder func(*graphSnapshot) pathFinder
+	// visit, when non-nil, is called at every jump that reaches step 2
+	// with the flow analysis the sweep holds and the loops computed from
+	// it.
+	visit     func(d *cfg.Dominators, loops []*cfg.Loop)
+	blacklist map[jumpKey]bool
+	g         *budget
+	res       Result
+}
+
+// jumps is JUMPS with step 1's path finder and the visit hook supplied by
+// the caller: the seams through which the tests run the Floyd–Warshall
+// reference and check the flow analysis each sweep holds.
+func jumps(f *cfg.Func, opts Options, finder func(*graphSnapshot) pathFinder, visit func(*cfg.Dominators, []*cfg.Loop)) Result {
+	j := &jumpsPass{
+		f: f, opts: opts, finder: finder, visit: visit,
+		blacklist: map[jumpKey]bool{},
+		g:         newBudget(f, opts, CountJumps(f)),
+	}
+	for !j.g.exhausted() {
+		if j.sweep() == 0 {
 			break
 		}
-		res.Changed = true
+		j.res.Changed = true
 	}
-	return res
+	return j.res
 }
 
 // sweep builds the shortest-path engine once (step 1) and then walks the
 // blocks replacing jumps (steps 2–6), reusing the engine for every lookup
 // exactly as the paper describes for its matrix. Returns the number of
 // replications made.
-func sweep(f *cfg.Func, opts Options, finder func(*graphSnapshot) pathFinder, blacklist map[jumpKey]bool, g *budget, res *Result) int {
-	e := cfg.ComputeEdges(f)
-	m := finder(snapshotGraph(f, e))
+//
+// Steps 3, 5 and 6 need the current flow graph's dominators and loops. The
+// sweep holds one flow analysis of the function as it stands, computed
+// when it starts, and replaces it only where the flow graph changes: a
+// kept replication hands over the analysis its reducibility check computed
+// on the post-edit graph. A rollback restores the function byte for byte,
+// and a deleted jump to the positionally next block becomes a fall-through
+// to that same block, so neither changes the graph the held analysis
+// describes. Its loops are computed once, at the first jump that reaches
+// step 2.
+func (j *jumpsPass) sweep() int {
+	f, opts, g, res := j.f, j.opts, j.g, &j.res
+	d := cfg.ComputeDominators(cfg.ComputeEdges(f))
+	defer func() { releaseFlow(d) }()
+	// The loops (independent bitsets) of d, valid while haveLoops.
+	var loops []*cfg.Loop
+	haveLoops := false
+	m := j.finder(snapshotGraph(f, d.E))
 	// Label-space view of the engine: rows were assigned in block order at
 	// snapshot time.
 	rowOf := make(map[rtl.Label]int, len(f.Blocks))
@@ -219,7 +252,7 @@ func sweep(f *cfg.Func, opts Options, finder func(*graphSnapshot) pathFinder, bl
 	made := 0
 
 	for bi := 0; bi < len(f.Blocks); bi++ {
-		if g.exhausted(f) {
+		if g.exhausted() {
 			break
 		}
 		b := f.Blocks[bi]
@@ -228,7 +261,7 @@ func sweep(f *cfg.Func, opts Options, finder func(*graphSnapshot) pathFinder, bl
 			continue
 		}
 		key := jumpKey{b.Label, t.Target}
-		if blacklist[key] {
+		if j.blacklist[key] {
 			continue
 		}
 		tgt := f.BlockByLabel(t.Target)
@@ -238,6 +271,7 @@ func sweep(f *cfg.Func, opts Options, finder func(*graphSnapshot) pathFinder, bl
 		// A jump to the positionally next block is simply deleted.
 		if tgt.Index == b.Index+1 {
 			b.Insts = b.Insts[:len(b.Insts)-1]
+			g.deletedJump()
 			res.JumpsDeleted++
 			if opts.OnCertificate != nil {
 				opts.OnCertificate(f, &tv.Certificate{
@@ -254,19 +288,20 @@ func sweep(f *cfg.Func, opts Options, finder func(*graphSnapshot) pathFinder, bl
 		if _, ok := rowOf[tgt.Label]; !ok {
 			continue
 		}
-		// Flow analyses are cheap and must be current for steps 3, 5, 6.
-		// The loops (independent bitsets) outlive the release of both.
-		e := cfg.ComputeEdges(f)
-		d := cfg.ComputeDominators(e)
-		loops := cfg.NaturalLoops(e, d)
-		d.Release()
-		e.Release()
+		if !haveLoops {
+			loops, haveLoops = cfg.NaturalLoops(d.E, d), true
+		}
+		if j.visit != nil {
+			j.visit(d, loops)
+		}
 
 		cands := candidates(f, m, rowOf, labelOf, loops, opts, b, tgt)
 		meta := candidateMeta(cands)
 		applied := -1
 		for ci, c := range cands {
-			if attemptReplication(f, loops, b.Index, c, opts) {
+			if kept := attemptReplication(f, loops, b.Index, c, opts); kept != nil {
+				releaseFlow(d)
+				d, haveLoops = kept, false
 				applied = ci
 				break
 			}
@@ -275,7 +310,7 @@ func sweep(f *cfg.Func, opts Options, finder func(*graphSnapshot) pathFinder, bl
 			b = f.Blocks[bi]
 		}
 		if applied < 0 {
-			blacklist[key] = true
+			j.blacklist[key] = true
 			outcome := obs.OutRolledBack
 			if len(cands) == 0 {
 				outcome = obs.OutNoCandidates
@@ -524,8 +559,9 @@ func finishCandidate(f *cfg.Func, loops []*cfg.Loop, opts Options, b *cfg.Block,
 // attemptReplication performs steps 4–6 for one candidate: splice the
 // copies in place of the jump, adjust control flow, redirect in-loop
 // branches, and verify reducibility via the engine's guard, rolling
-// everything back through the undo log on failure (see dup.go).
-func attemptReplication(f *cfg.Func, loops []*cfg.Loop, bIdx int, c candidate, opts Options) bool {
+// everything back through the undo log on failure (see dup.go). It returns
+// the guard's flow analysis of the kept edit, or nil after a rollback.
+func attemptReplication(f *cfg.Func, loops []*cfg.Loop, bIdx int, c candidate, opts Options) *cfg.Dominators {
 	b := f.Blocks[bIdx]
 	// The certificate is built alongside the edit (splice fills in the
 	// copies, the step-5 loop redirects append below) but emitted only if
@@ -546,7 +582,7 @@ func attemptReplication(f *cfg.Func, loops []*cfg.Loop, bIdx int, c candidate, o
 			loopLabels[f.Blocks[bi].Label] = true
 		})
 	}
-	ok := applyGuarded(f, opts, func(u *undoLog) {
+	kept := applyGuarded(f, opts, func(u *undoLog) {
 		u.truncated(b)
 		firstCopy, inserted := splice(f, b, c, cert)
 		u.insertedBlocks(bIdx, inserted)
@@ -562,10 +598,10 @@ func attemptReplication(f *cfg.Func, loops []*cfg.Loop, bIdx int, c candidate, o
 			}
 		}
 	})
-	if ok && cert != nil {
+	if kept != nil && cert != nil {
 		opts.OnCertificate(f, cert)
 	}
-	return ok
+	return kept
 }
 
 // splice replaces b's terminating jump with copies of the candidate blocks

@@ -127,17 +127,19 @@ func rotateOne(f *cfg.Func, opts Options, res *Result) bool {
 		rep = append(rep, br)
 		cand := []obs.Candidate{{Kind: obs.KindRotation, RTLs: len(rep), Blocks: 1}}
 		jumpBlock, jumpTarget := p.Label, t.Target
-		if !applyGuarded(f, opts, func(u *undoLog) {
+		kept := applyGuarded(f, opts, func(u *undoLog) {
 			u.truncated(p)
 			// A fresh array keeps the jump in the saved slice for rollback.
 			n := len(p.Insts) - 1
 			p.Insts = append(p.Insts[:n:n], rep...)
-		}) {
+		})
+		if kept == nil {
 			res.Rollbacks++
 			cand[0].RolledBack = true
 			emitDecision(opts, f, jumpBlock, jumpTarget, cand, obs.OutRolledBack)
 			return false
 		}
+		releaseFlow(kept)
 		res.Replications++
 		res.RTLsCopied += len(rep)
 		if opts.OnCertificate != nil {
