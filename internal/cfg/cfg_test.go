@@ -1,6 +1,7 @@
 package cfg
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/rtl"
@@ -88,7 +89,43 @@ func TestRemoveUnreachable(t *testing.T) {
 	if RemoveUnreachable(f) {
 		t.Error("second run should be a no-op")
 	}
+
+	// A dead cycle: L2 and L5 jump to each other, and no reachable block
+	// reaches either.
+	f, err := ParseFunc(deadCycleSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !RemoveUnreachable(f) {
+		t.Fatal("expected the dead cycle to go")
+	}
+	var labels []string
+	for _, b := range f.Blocks {
+		labels = append(labels, b.Label.String())
+	}
+	if got := strings.Join(labels, " "); got != "L0 L1 L3 L4" {
+		t.Errorf("blocks %s after the walk, want L0 L1 L3 L4", got)
+	}
 }
+
+// deadCycleSrc is a diamond with two unreachable blocks, L2 and L5, that
+// jump to each other.
+const deadCycleSrc = `func u(params=1, locals=1):
+L0:
+	CC = L[fp+0] ? #0
+	PC = CC == 0, L3
+L1:
+	v0 = #1
+	PC = L4
+L2:
+	PC = L5
+L3:
+	v0 = #2
+L4:
+	PC = RT, rv=v0
+L5:
+	PC = L2
+`
 
 func TestDominatorsDiamond(t *testing.T) {
 	f, _ := buildDiamond(t)

@@ -199,39 +199,49 @@ func (f *Func) FallThrough(b *Block) *Block {
 	return nil
 }
 
-// Reachable returns the set of blocks reachable from the entry.
-func Reachable(f *Func) map[*Block]bool {
-	seen := make(map[*Block]bool, len(f.Blocks))
-	if len(f.Blocks) == 0 {
-		return seen
-	}
-	e := ComputeEdges(f)
-	var stack []*Block
-	stack = append(stack, f.Blocks[0])
-	seen[f.Blocks[0]] = true
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range e.Succs[b.Index] {
-			if !seen[s] {
-				seen[s] = true
-				stack = append(stack, s)
+// Unreachable returns the blocks not reachable from the entry, in layout
+// order, or nil when every block is reachable.
+func Unreachable(f *Func) []*Block {
+	seen, n := reach(f)
+	var dead []*Block
+	if n > 0 {
+		for i, b := range f.Blocks {
+			if !hasBit(seen, i) {
+				dead = append(dead, b)
 			}
 		}
 	}
-	e.Release()
-	return seen
+	f.Scratch().PutWords(seen)
+	return dead
 }
 
 // RemoveUnreachable deletes blocks not reachable from the entry and reports
 // whether anything changed. This is the block-level half of dead code
 // elimination; replication routinely strands blocks that this pass reclaims.
-// The common no-change case allocates nothing once the function's Scratch
-// arena is warm.
+// Once the function's Scratch arena is warm it allocates nothing.
 func RemoveUnreachable(f *Func) bool {
+	seen, n := reach(f)
+	if n > 0 {
+		live := f.Blocks[:0]
+		for i, b := range f.Blocks {
+			if hasBit(seen, i) {
+				live = append(live, b)
+			}
+		}
+		f.Blocks = live
+		f.Renumber()
+	}
+	f.Scratch().PutWords(seen)
+	return n > 0
+}
+
+// reach walks the flow graph from the entry and returns the bitset of the
+// blocks it reached, borrowed from the function's Scratch arena, and the
+// number of blocks it did not reach.
+func reach(f *Func) ([]uint64, int) {
 	n := len(f.Blocks)
 	if n == 0 {
-		return false
+		return nil, 0
 	}
 	e := ComputeEdges(f)
 	scr := f.Scratch()
@@ -247,7 +257,7 @@ func RemoveUnreachable(f *Func) bool {
 		b := int(stack[top])
 		for _, s := range e.Succs[b] {
 			i := s.Index
-			if seen[i>>6]&(1<<(uint(i)&63)) == 0 {
+			if !hasBit(seen, i) {
 				seen[i>>6] |= 1 << (uint(i) & 63)
 				reached++
 				stack[top] = int32(i)
@@ -256,22 +266,9 @@ func RemoveUnreachable(f *Func) bool {
 		}
 	}
 	e.Release()
-	if reached == n {
-		scr.PutWords(seen)
-		scr.PutInts(stack)
-		return false
-	}
-	dead := make(map[rtl.Label]bool, n-reached)
-	for i, b := range f.Blocks {
-		if seen[i>>6]&(1<<(uint(i)&63)) == 0 {
-			dead[b.Label] = true
-		}
-	}
-	scr.PutWords(seen)
 	scr.PutInts(stack)
-	if len(dead) == 0 {
-		return false
-	}
-	f.RemoveBlocks(dead)
-	return true
+	return seen, n - reached
 }
+
+// hasBit reports whether bit i of the bitset is set.
+func hasBit(set []uint64, i int) bool { return set[i>>6]&(1<<(uint(i)&63)) != 0 }

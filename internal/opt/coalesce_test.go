@@ -13,18 +13,25 @@ import (
 	"repro/internal/replicate"
 )
 
-// figure3 takes f through the passes internal/pipeline runs before
-// register allocation, in its order: the prologue, the do-while loop (with
-// replication counted as progress only while it lowers the jump count or
-// folds a branch) and the finishing legalization and jump-table lowering.
-// merge stands in for opt.MergeBlocks.
-func figure3(f *cfg.Func, m *machine.Machine, replicateF func(*cfg.Func, replicate.Options) replicate.Result, merge func(*cfg.Func) bool) {
+// beforePromotion takes f through the passes internal/pipeline runs
+// before opt.PromoteLocals, in its order: legalization and the Figure-3
+// prologue.
+func beforePromotion(f *cfg.Func, m *machine.Machine, replicateF func(*cfg.Func, replicate.Options) replicate.Result) {
 	machine.Legalize(f, m)
 	opt.BranchChaining(f)
 	opt.DeadCodeElimination(f)
 	cfg.ReorderBlocks(f)
 	replicateF(f, replicate.Options{})
 	opt.DeadCodeElimination(f)
+}
+
+// figure3 takes f through the passes internal/pipeline runs before
+// register allocation, in its order: the prologue, promotion, the do-while
+// loop (with replication counted as progress only while it lowers the jump
+// count or folds a branch) and the finishing legalization and jump-table
+// lowering. merge stands in for opt.MergeBlocks.
+func figure3(f *cfg.Func, m *machine.Machine, replicateF func(*cfg.Func, replicate.Options) replicate.Result, merge func(*cfg.Func) bool) {
+	beforePromotion(f, m, replicateF)
 	opt.PromoteLocals(f)
 	for i := 0; i < 30; i++ {
 		changed := opt.CommonSubexpressions(f, m)
@@ -66,11 +73,14 @@ func coalesceSources() []string {
 }
 
 // allLevels are the replication passes of the four levels, SIMPLE's
-// being none.
-var allLevels = []func(*cfg.Func, replicate.Options) replicate.Result{
-	func(*cfg.Func, replicate.Options) replicate.Result { return replicate.Result{} },
-	replicate.LOOPS, replicate.JUMPS, replicate.DUPS,
-}
+// being none; levelNames names them.
+var (
+	allLevels = []func(*cfg.Func, replicate.Options) replicate.Result{
+		func(*cfg.Func, replicate.Options) replicate.Result { return replicate.Result{} },
+		replicate.LOOPS, replicate.JUMPS, replicate.DUPS,
+	}
+	levelNames = []string{"SIMPLE", "LOOPS", "JUMPS", "DUPS"}
+)
 
 // TestCoalescingMatchesRebuild checks the coalescer's in-place updates:
 // after every merge its liveness and interference adjacency must equal a

@@ -55,7 +55,6 @@ func PromoteLocals(f *cfg.Func) bool {
 	if len(promoted) == 0 {
 		return false
 	}
-	needsInit := uninitReads(f, promoted)
 	rewrite := func(o *rtl.Operand) {
 		if o.Kind == rtl.OLocal {
 			if r, ok := promoted[o.Val]; ok {
@@ -72,22 +71,29 @@ func PromoteLocals(f *cfg.Func) bool {
 		}
 	}
 	// Prologue copies: promoted parameters (the calling convention delivers
-	// arguments in the frame) and promoted locals with a possibly-
-	// uninitialized read (the frame slot holds the zero the program would
-	// have observed). Sorted offsets keep the emitted prologue
-	// deterministic.
+	// arguments in the frame) and promoted locals whose register is live
+	// into the entry, that is, read on some path before any write (the
+	// frame slot holds the zero the program would have observed). The
+	// liveness runs after the rewrite: each fresh register occurs exactly
+	// where its local did, an instruction's read comes before its write,
+	// and unreachable blocks lie on no path from the entry. Sorted offsets
+	// keep the emitted prologue deterministic.
 	var prologue []rtl.Inst
 	for i := 0; i < f.NParams; i++ {
 		if r, ok := promoted[int64(i)]; ok {
 			prologue = append(prologue, rtl.Inst{Kind: rtl.Move, Dst: rtl.R(r), Src: rtl.Local(int64(i))})
 		}
 	}
+	e := cfg.ComputeEdges(f)
+	lv := ComputeLiveness(f, e)
 	var inits []int64
-	for off := range needsInit {
-		if off >= int64(f.NParams) {
+	for off, r := range promoted {
+		if off >= int64(f.NParams) && lv.In[0].Has(r) {
 			inits = append(inits, off)
 		}
 	}
+	lv.Release()
+	e.Release()
 	sort.Slice(inits, func(i, j int) bool { return inits[i] < inits[j] })
 	for _, off := range inits {
 		prologue = append(prologue, rtl.Inst{Kind: rtl.Move, Dst: rtl.R(promoted[off]), Src: rtl.Local(off)})
@@ -97,119 +103,6 @@ func PromoteLocals(f *cfg.Func) bool {
 		entry.Insts = append(prologue, entry.Insts...)
 	}
 	return true
-}
-
-// uninitReads finds the promoted frame offsets with a read that is not
-// preceded by a write on every path from the entry — a forward
-// must-assigned dataflow over the promoted scalars, run before the operand
-// rewrite. Parameters count as assigned at the entry (the call wrote them).
-func uninitReads(f *cfg.Func, promoted map[int64]rtl.Reg) map[int64]bool {
-	e := cfg.ComputeEdges(f)
-	n := len(f.Blocks)
-	writes := make([]map[int64]bool, n)
-	for i, b := range f.Blocks {
-		w := map[int64]bool{}
-		for ii := range b.Insts {
-			in := &b.Insts[ii]
-			if in.Dst.Kind == rtl.OLocal {
-				if _, ok := promoted[in.Dst.Val]; ok {
-					w[in.Dst.Val] = true
-				}
-			}
-		}
-		writes[i] = w
-	}
-
-	// in[i]: offsets assigned on every path from the entry to block i; nil
-	// marks a block not yet reached (unreachable blocks stay nil and are
-	// not scanned: they never execute).
-	in := make([]map[int64]bool, n)
-	entry := map[int64]bool{}
-	for i := 0; i < f.NParams; i++ {
-		if _, ok := promoted[int64(i)]; ok {
-			entry[int64(i)] = true
-		}
-	}
-	in[0] = entry
-	out := func(i int) map[int64]bool {
-		if in[i] == nil {
-			return nil
-		}
-		o := make(map[int64]bool, len(in[i])+len(writes[i]))
-		for off := range in[i] {
-			o[off] = true
-		}
-		for off := range writes[i] {
-			o[off] = true
-		}
-		return o
-	}
-	for changed := true; changed; {
-		changed = false
-		for i := 1; i < n; i++ {
-			var cur map[int64]bool
-			for _, p := range e.Preds[i] {
-				po := out(p.Index)
-				if po == nil {
-					continue
-				}
-				if cur == nil {
-					cur = po
-					continue
-				}
-				for off := range cur {
-					if !po[off] {
-						delete(cur, off)
-					}
-				}
-			}
-			if cur == nil {
-				continue
-			}
-			if in[i] != nil && len(cur) == len(in[i]) {
-				same := true
-				for off := range cur {
-					if !in[i][off] {
-						same = false
-						break
-					}
-				}
-				if same {
-					continue
-				}
-			}
-			in[i] = cur
-			changed = true
-		}
-	}
-
-	needs := map[int64]bool{}
-	for i, b := range f.Blocks {
-		if in[i] == nil {
-			continue
-		}
-		cur := make(map[int64]bool, len(in[i]))
-		for off := range in[i] {
-			cur[off] = true
-		}
-		for ii := range b.Insts {
-			in2 := &b.Insts[ii]
-			for _, o := range in2.SrcOperands() {
-				if o.Kind != rtl.OLocal || cur[o.Val] {
-					continue
-				}
-				if _, ok := promoted[o.Val]; ok {
-					needs[o.Val] = true
-				}
-			}
-			if in2.Dst.Kind == rtl.OLocal {
-				if _, ok := promoted[in2.Dst.Val]; ok {
-					cur[in2.Dst.Val] = true
-				}
-			}
-		}
-	}
-	return needs
 }
 
 // AllocateRegisters maps every virtual register to one of the machine's

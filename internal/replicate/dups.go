@@ -79,41 +79,11 @@ func newFolder(f *cfg.Func, opts Options) *folder {
 	return &folder{f: f, opts: opts, g: newBudget(f, opts, decided), blacklist: map[jumpKey]bool{}, decided: decided}
 }
 
-// edgeKind classifies how control flows from a predecessor into the test
-// block under consideration.
-type edgeKind uint8
-
-// The incoming-edge shapes conditional elimination understands.
-const (
-	// edgeJump: the predecessor ends in an unconditional jump to the test
-	// block. Folding dissolves the jump too — the copy is spliced in as
-	// the predecessor's fall-through, removing one dynamic unconditional
-	// jump and one dynamic conditional branch per traversal.
-	edgeJump edgeKind = iota
-	// edgeBrTaken: the predecessor's conditional branch targets the test
-	// block; the taken edge is retargeted onto the folded copy.
-	edgeBrTaken
-	// edgeFall: control falls through into the test block (from a
-	// terminator-less block or a branch's fall-through); the folded copy
-	// is spliced between the two blocks.
-	edgeFall
-)
-
-// shape maps the engine's edge kind to its certificate counterpart.
-func (k edgeKind) shape() tv.EdgeShape {
-	switch k {
-	case edgeJump:
-		return tv.EdgeJump
-	case edgeBrTaken:
-		return tv.EdgeBrTaken
-	}
-	return tv.EdgeFall
-}
-
-// dupEdge is one incoming edge of a conditional test block.
+// dupEdge is one incoming edge of a conditional test block, in the shape
+// its fold certificate names.
 type dupEdge struct {
 	t    *cfg.Block
-	kind edgeKind
+	kind tv.EdgeShape
 }
 
 // edgesOf enumerates p's outgoing edges in the shapes conditional
@@ -131,18 +101,18 @@ func edgesOf(f *cfg.Func, p *cfg.Block) []dupEdge {
 	switch {
 	case t == nil:
 		if nb := next(); nb != nil {
-			out = append(out, dupEdge{t: nb, kind: edgeFall})
+			out = append(out, dupEdge{t: nb, kind: tv.EdgeFall})
 		}
 	case t.Kind == rtl.Jmp:
 		if tb := f.BlockByLabel(t.Target); tb != nil {
-			out = append(out, dupEdge{t: tb, kind: edgeJump})
+			out = append(out, dupEdge{t: tb, kind: tv.EdgeJump})
 		}
 	case t.Kind == rtl.Br:
 		if tb := f.BlockByLabel(t.Target); tb != nil {
-			out = append(out, dupEdge{t: tb, kind: edgeBrTaken})
+			out = append(out, dupEdge{t: tb, kind: tv.EdgeBrTaken})
 		}
 		if nb := next(); nb != nil {
-			out = append(out, dupEdge{t: nb, kind: edgeFall})
+			out = append(out, dupEdge{t: nb, kind: tv.EdgeFall})
 		}
 	}
 	return out
@@ -195,7 +165,7 @@ func (c *folder) foldFrom(p *cfg.Block) bool {
 		}
 		// A branch-taken edge parks its copy at the end of the layout,
 		// which requires the last block not to fall off the end.
-		if e.kind == edgeBrTaken {
+		if e.kind == tv.EdgeBrTaken {
 			if lt := f.Blocks[len(f.Blocks)-1].Term(); lt == nil || lt.Kind == rtl.Br {
 				continue
 			}
@@ -231,7 +201,7 @@ func (c *folder) foldFrom(p *cfg.Block) bool {
 // flow graph's reducibility (for example by giving a natural loop a second
 // entry) is rolled back byte-identically. Returns the copy, or nil when
 // the fold was rolled back.
-func applyFold(f *cfg.Func, opts Options, p, t *cfg.Block, kind edgeKind, taken bool, ev tv.Evidence) *cfg.Block {
+func applyFold(f *cfg.Func, opts Options, p, t *cfg.Block, kind tv.EdgeShape, taken bool, ev tv.Evidence) *cfg.Block {
 	dest := t.Term().Target
 	if !taken {
 		dest = f.Blocks[t.Index+1].Label
@@ -245,15 +215,22 @@ func applyFold(f *cfg.Func, opts Options, p, t *cfg.Block, kind edgeKind, taken 
 		// only the branch is folded to the decided transfer.
 		nb.Insts[len(nb.Insts)-1] = rtl.Inst{Kind: rtl.Jmp, Target: dest}
 		switch kind {
-		case edgeJump:
+		case tv.EdgeJump:
+			// The fold dissolves p's jump too: the copy becomes p's
+			// fall-through, removing one dynamic unconditional jump and
+			// one dynamic conditional branch per traversal.
 			u.truncated(p)
 			p.Insts = p.Insts[:len(p.Insts)-1]
 			f.InsertBlocksAfter(p.Index, nb)
 			u.insertedBlocks(p.Index, 1)
-		case edgeFall:
+		case tv.EdgeFall:
+			// p falls through into t (from a terminator-less block or a
+			// branch's fall-through): the copy goes between the two.
 			f.InsertBlocksAfter(p.Index, nb)
 			u.insertedBlocks(p.Index, 1)
-		case edgeBrTaken:
+		case tv.EdgeBrTaken:
+			// p's branch targets t: the copy parks at the end of the
+			// layout and the taken edge is retargeted onto it.
 			at := len(f.Blocks) - 1
 			f.InsertBlocksAfter(at, nb)
 			u.insertedBlocks(at, 1)
@@ -270,7 +247,7 @@ func applyFold(f *cfg.Func, opts Options, p, t *cfg.Block, kind edgeKind, taken 
 		opts.OnCertificate(f, &tv.Certificate{
 			Kind: tv.KindFold, Func: f.Name,
 			Block: p.Label, Target: t.Label, Copy: nb.Label,
-			Edge: kind.shape(), Taken: taken, Dest: dest, Evidence: ev,
+			Edge: kind, Taken: taken, Dest: dest, Evidence: ev,
 		})
 	}
 	return nb
@@ -306,7 +283,7 @@ type relFact struct {
 // implication between the two relations). The returned evidence names the
 // route and its inputs for the fold's translation-validation certificate,
 // which the validator re-derives rather than trusts.
-func decideEdge(p, t *cfg.Block, kind edgeKind) (bool, bool, tv.Evidence) {
+func decideEdge(p, t *cfg.Block, kind tv.EdgeShape) (bool, bool, tv.Evidence) {
 	ci := lastCmpBefore(t)
 	if ci < 0 {
 		return false, false, tv.Evidence{}
@@ -323,13 +300,13 @@ func decideEdge(p, t *cfg.Block, kind edgeKind) (bool, bool, tv.Evidence) {
 	// edges and only while neither compared operand can have changed
 	// between the two comparisons.
 	var fact relFact
-	if pt := p.Term(); pt != nil && pt.Kind == rtl.Br && kind != edgeJump {
+	if pt := p.Term(); pt != nil && pt.Kind == rtl.Br && kind != tv.EdgeJump {
 		if pi := lastCmpBefore(p); pi >= 0 {
 			pc := &p.Insts[pi]
 			if comparableOperand(pc.Src) && comparableOperand(pc.Src2) &&
 				operandsStable(pc.Src, pc.Src2, p.Insts[pi+1:]) {
 				rel := pt.BrRel
-				if kind == edgeFall {
+				if kind == tv.EdgeFall {
 					rel = rel.Negate()
 				}
 				fact = relFact{x: pc.Src, y: pc.Src2, rel: rel, ok: true}
@@ -590,16 +567,16 @@ func decidedAround(f *cfg.Func, p, cp *cfg.Block) int {
 		}
 		qt := q.Term()
 		if qt != nil && (qt.Kind == rtl.Jmp || qt.Kind == rtl.Br) && qt.Target == p.Label {
-			kind := edgeJump
+			kind := tv.EdgeJump
 			if qt.Kind == rtl.Br {
-				kind = edgeBrTaken
+				kind = tv.EdgeBrTaken
 			}
 			if d, _, _ := decideEdge(q, p, kind); d {
 				n++
 			}
 		}
 		if q.Index+1 == p.Index && (qt == nil || qt.Kind == rtl.Br) {
-			if d, _, _ := decideEdge(q, p, edgeFall); d {
+			if d, _, _ := decideEdge(q, p, tv.EdgeFall); d {
 				n++
 			}
 		}

@@ -84,8 +84,8 @@ type Retarget struct {
 	New rtl.Label `json:"new"`
 }
 
-// EdgeShape classifies the incoming edge a fold acted on, mirroring the
-// engine's edge kinds.
+// EdgeShape classifies the incoming edge a fold acted on; the engine's
+// conditional elimination names its edges by the same shapes.
 type EdgeShape string
 
 // The fold edge shapes.

@@ -79,6 +79,7 @@ func checkUseBeforeDef(f *cfg.Func, add addFunc, full func() bool) {
 			changed = true
 		}
 	}
+	e.Release()
 
 	// Linear scan of every reached block against its must-defined set.
 	var scratch []rtl.Reg

@@ -160,14 +160,11 @@ func Func(f *cfg.Func, o Options) []Violation {
 	}
 
 	if !o.SkipUnreachable {
-		reach := cfg.Reachable(f)
-		for _, b := range f.Blocks {
+		for _, b := range cfg.Unreachable(f) {
 			if full() {
 				return vs
 			}
-			if !reach[b] {
-				add(RuleUnreachable, b.Label.String(), "block is unreachable from the entry")
-			}
+			add(RuleUnreachable, b.Label.String(), "block is unreachable from the entry")
 		}
 	}
 

@@ -196,6 +196,70 @@ func TestRules(t *testing.T) {
 	}
 }
 
+// TestUnreachableNamesEveryBlock checks that the unreachable-block rule
+// names every dead block in layout order, a dead cycle's included.
+func TestUnreachableNamesEveryBlock(t *testing.T) {
+	f, err := cfg.ParseFunc(`func u(params=1, locals=1):
+L0:
+	CC = L[fp+0] ? #0
+	PC = CC == 0, L3
+L1:
+	v0 = #1
+	PC = L4
+L2:
+	PC = L5
+L3:
+	v0 = #2
+L4:
+	PC = RT, rv=v0
+L5:
+	PC = L2
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, vi := range verify.Func(f, verify.Options{}) {
+		if vi.Rule == verify.RuleUnreachable {
+			got = append(got, vi.Block)
+		}
+	}
+	if strings.Join(got, " ") != "L2 L5" {
+		t.Errorf("unreachable blocks %v, want [L2 L5]", got)
+	}
+}
+
+// TestFuncReleasesEdges checks that the verifier hands every flow-graph
+// snapshot it takes back to the function's arena: after verify.Func the
+// next ComputeEdges reuses the Edges released before it.
+func TestFuncReleasesEdges(t *testing.T) {
+	prog, err := mcc.Compile(`
+int main() {
+	int i, s;
+	s = 0;
+	for (i = 0; i < 10; i++)
+		if (i % 3) s += i;
+	return s;
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipeline.Optimize(prog, pipeline.Config{Machine: machine.M68020, Level: pipeline.Jumps})
+	f := prog.Funcs[0]
+	for _, o := range []verify.Options{{}, {SkipUnreachable: true}} {
+		e := cfg.ComputeEdges(f)
+		e.Release()
+		if vs := verify.Func(f, o); len(vs) != 0 {
+			t.Fatalf("%+v: %v", o, vs)
+		}
+		next := cfg.ComputeEdges(f)
+		next.Release()
+		if next != e {
+			t.Errorf("%+v: verify.Func kept an Edges: ComputeEdges built a new one", o)
+		}
+	}
+}
+
 // TestStructureGatesSemanticRules checks that a structurally broken
 // function reports only the structure violation: the semantic analyses
 // assume well-formed blocks and must not run (or panic) on garbage.

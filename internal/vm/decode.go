@@ -42,7 +42,7 @@ type inst struct {
 	argIdx int
 	lo     int64
 	table  []int32
-	// addr and size are the instruction's fetch, copied from the Layout.
+	// addr and size are the instruction's fetch, read from the Layout.
 	addr, size int64
 	// orig is the instruction as written, for traces and error messages.
 	orig  *rtl.Inst
@@ -122,7 +122,8 @@ func (d *decoder) function(f *cfg.Func, fi int, layout *Layout) function {
 				di.callee = d.callee(in.Sym)
 			}
 			if layout != nil {
-				di.addr, di.size = layout.Addr[fi][bi][ii], layout.Size[fi][bi][ii]
+				ef := layout.Funcs[fi]
+				di.addr, di.size = layout.FuncBase[fi]+ef.Off[bi][ii], ef.Size[bi][ii]
 			}
 			fn.insts = append(fn.insts, di)
 		}

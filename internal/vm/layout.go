@@ -6,52 +6,24 @@
 package vm
 
 import (
-	"fmt"
-
 	"repro/internal/cfg"
 	"repro/internal/encode"
 	"repro/internal/machine"
 )
 
 // Layout assigns a code address and byte size to every instruction of a
-// program for one machine. Addresses are only used for instruction-cache
-// simulation; data lives in a separate cell-addressed space.
-type Layout struct {
-	Machine *machine.Machine
-	// Addr[fi][bi][ii] is the start address of instruction ii of block bi
-	// of function fi; Size gives its byte size.
-	Addr [][][]int64
-	Size [][][]int64
-	// FuncBase[fi] is the first address of function fi.
-	FuncBase []int64
-	// CodeBytes is the total code size in bytes.
-	CodeBytes int64
-}
+// program for one machine: it is the encoder's layout. Instruction ii of
+// block bi of function fi starts at FuncBase[fi] + Funcs[fi].Off[bi][ii]
+// and takes Funcs[fi].Size[bi][ii] bytes. Addresses are only used for
+// instruction-cache simulation; data lives in a separate cell-addressed
+// space.
+type Layout = encode.Program
 
 // NewLayout lays the program out contiguously, function by function in
 // program order, blocks in positional order. Sizes and offsets come from
 // internal/encode: machines with an Encoder get exact short/near jump
 // sizes from the branch-displacement fixpoint, machines without one get
-// the same flat InstSize sums as before.
+// flat InstSize sums.
 func NewLayout(p *cfg.Program, m *machine.Machine) *Layout {
-	ep := encode.LayoutProgram(p, m)
-	l := &Layout{Machine: m, FuncBase: ep.FuncBase, CodeBytes: ep.CodeBytes}
-	for fi, ef := range ep.Funcs {
-		base := ep.FuncBase[fi]
-		fa := make([][]int64, len(ef.Off))
-		for bi := range ef.Off {
-			fa[bi] = make([]int64, len(ef.Off[bi]))
-			for ii, off := range ef.Off[bi] {
-				fa[bi][ii] = base + off
-			}
-		}
-		l.Addr = append(l.Addr, fa)
-		l.Size = append(l.Size, ef.Size)
-	}
-	return l
-}
-
-// String summarizes the layout.
-func (l *Layout) String() string {
-	return fmt.Sprintf("layout(%s): %d funcs, %d code bytes", l.Machine.Name, len(l.FuncBase), l.CodeBytes)
+	return encode.LayoutProgram(p, m)
 }

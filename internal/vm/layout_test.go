@@ -26,13 +26,13 @@ int main() { return f(41); }`)
 		}
 		// Addresses are strictly increasing and sized consistently.
 		last := int64(-1)
-		for fi := range l.Addr {
+		for fi, ef := range l.Funcs {
 			if l.FuncBase[fi]%m.Align != 0 {
 				t.Errorf("%s: function %d base %d not aligned", m.Name, fi, l.FuncBase[fi])
 			}
-			for bi := range l.Addr[fi] {
-				for ii := range l.Addr[fi][bi] {
-					a, s := l.Addr[fi][bi][ii], l.Size[fi][bi][ii]
+			for bi := range ef.Off {
+				for ii := range ef.Off[bi] {
+					a, s := l.FuncBase[fi]+ef.Off[bi][ii], ef.Size[bi][ii]
 					if a <= last {
 						t.Fatalf("%s: addresses not increasing (%d after %d)", m.Name, a, last)
 					}
