@@ -44,8 +44,24 @@ func main() {
 	tvFlag := flag.Bool("tv", false, "validate every applied duplication with the translation validator; rejected certificates abort with exit 1")
 	flag.Parse()
 
+	// Every flag is checked before any file is read: a usage error exits 2
+	// whatever the files hold.
+	m, err := machine.ByName(*machName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ease:", err)
+		os.Exit(2)
+	}
+	lv, err := pipeline.ParseLevel(*levelName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ease:", err)
+		os.Exit(2)
+	}
 	req := ease.Request{Spec: pipeline.Spec{VerifyEach: *verifyEach, TV: *tvFlag}, SimulateCaches: *caches}
+	req.Machine, req.Level = m, lv
 	switch {
+	case *progName != "" && *file != "":
+		fmt.Fprintln(os.Stderr, "ease: -prog and -file are exclusive")
+		os.Exit(2)
 	case *progName != "":
 		p := bench.ProgramByName(*progName)
 		if p == nil {
@@ -72,18 +88,6 @@ func main() {
 		}
 		req.Input = in
 	}
-	m, err := machine.ByName(*machName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ease:", err)
-		os.Exit(2)
-	}
-	req.Machine = m
-	lv, err := pipeline.ParseLevel(*levelName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ease:", err)
-		os.Exit(2)
-	}
-	req.Level = lv
 
 	// The fetch trace is flushed and closed explicitly at the end: a write
 	// error (a full disk, say) must fail the run, not vanish in a defer.

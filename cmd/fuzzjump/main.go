@@ -15,7 +15,8 @@
 //	fuzzjump -budget 60                        # bigger programs
 //
 // Exit status: 0 if the campaign found nothing, 1 if any seed produced a
-// violation, 2 on usage errors.
+// violation or every seed was skipped (its reference run trapped, so no
+// cell was compared), 2 on usage errors.
 package main
 
 import (
@@ -70,6 +71,17 @@ func main() {
 		os.Exit(2)
 	}
 
+	// A negative count, step budget or statement budget would check
+	// nothing, or check seeds whose every run traps, and still report a
+	// clean campaign.
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{{"count", *count}, {"maxsteps", *maxSteps}, {"budget", int64(*budget)}} {
+		if f.v < 0 {
+			fatal(2, fmt.Errorf("-%s %d: must not be negative", f.name, f.v))
+		}
+	}
 	ms, err := parseMachines(*machines)
 	if err != nil {
 		fatal(2, err)
@@ -146,12 +158,17 @@ func main() {
 	var (
 		mu       sync.Mutex // serializes result handling and stderr
 		checked  int64
+		skipped  int64
 		failures int64
 	)
 	handle := func(s int64, src string, v *difftest.Verdict) {
 		mu.Lock()
 		defer mu.Unlock()
 		checked++
+		if v.Skipped {
+			skipped++
+			fmt.Fprintf(os.Stderr, "fuzzjump: seed %d skipped: %s\n", s, v.SkipReason)
+		}
 		if !v.Failed() {
 			return
 		}
@@ -196,8 +213,8 @@ func main() {
 					return
 				case <-tick.C:
 					mu.Lock()
-					fmt.Fprintf(os.Stderr, "fuzzjump: %d seeds checked, %d failing, %s elapsed\n",
-						checked, failures, time.Since(start).Round(time.Second))
+					fmt.Fprintf(os.Stderr, "fuzzjump: %d seeds checked, %d skipped, %d failing, %s elapsed\n",
+						checked, skipped, failures, time.Since(start).Round(time.Second))
 					mu.Unlock()
 				}
 			}
@@ -224,10 +241,14 @@ func main() {
 	wg.Wait()
 	close(stop)
 
-	fmt.Printf("fuzzjump: %d seeds checked in %s, %d failing\n",
-		checked, time.Since(start).Round(time.Millisecond), failures)
+	fmt.Printf("fuzzjump: %d seeds checked in %s, %d skipped, %d failing\n",
+		checked, time.Since(start).Round(time.Millisecond), skipped, failures)
 	reportClose()
 	if failures > 0 {
+		os.Exit(1)
+	}
+	if checked > 0 && skipped == checked {
+		fmt.Fprintln(os.Stderr, "fuzzjump: every seed was skipped, so nothing was compared")
 		os.Exit(1)
 	}
 }

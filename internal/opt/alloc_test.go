@@ -123,7 +123,7 @@ func TestSpillKeepsUnmentionedBlocks(t *testing.T) {
 			}
 			kept := &other.Insts[0]
 			useBefore := &use.Insts[0]
-			spillReg(f, v0, regSet{})
+			spillReg(f, v0, &RegSet{})
 			if len(other.Insts) != 1 || &other.Insts[0] != kept {
 				t.Errorf("block %v does not mention v0 but its instructions were rebuilt", other.Label)
 			}

@@ -3,7 +3,6 @@ package opt
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/cfg"
 	"repro/internal/machine"
@@ -40,35 +39,25 @@ func (c *coalescer) matchesRebuild() error {
 			return fmt.Errorf("liveness of block %v differs", b.Label)
 		}
 	}
-	fresh := buildInterference(c.f).adj
-	for _, r := range sortedRegs(c.adj, fresh) {
-		got, want := c.adj[r], fresh[r]
-		if (got == nil) != (want == nil) {
-			return fmt.Errorf("node %v: present %t, rebuilt %t", r, got != nil, want != nil)
+	fresh := buildInterference(c.f)
+	for i := range fresh.adj {
+		r := rtl.VRegBase + rtl.Reg(i)
+		got, want := c.g.neighbours(r), fresh.neighbours(r)
+		if c.g.nodes.Has(r) != fresh.nodes.Has(r) {
+			return fmt.Errorf("node %v: present %t, rebuilt %t", r, c.g.nodes.Has(r), fresh.nodes.Has(r))
 		}
-		if len(got) != len(want) {
-			return fmt.Errorf("node %v: degree %d, rebuilt %d", r, len(got), len(want))
+		if got.Len() != want.Len() {
+			return fmt.Errorf("node %v: degree %d, rebuilt %d", r, got.Len(), want.Len())
 		}
-		for _, n := range sortedRegs(want) {
-			if !got.has(n) {
-				return fmt.Errorf("edge %v-%v missing", r, n)
+		var missing error
+		want.ForEach(func(n rtl.Reg) {
+			if missing == nil && !got.Has(n) {
+				missing = fmt.Errorf("edge %v-%v missing", r, n)
 			}
+		})
+		if missing != nil {
+			return missing
 		}
 	}
 	return nil
-}
-
-// sortedRegs returns the keys of the given maps, merged and sorted.
-func sortedRegs[V any](ms ...map[rtl.Reg]V) []rtl.Reg {
-	seen := regSet{}
-	var out []rtl.Reg
-	for _, m := range ms {
-		for r := range m {
-			if seen.add(r) {
-				out = append(out, r)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

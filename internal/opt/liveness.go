@@ -135,9 +135,18 @@ func (s *RegSet) UnionWith(o RegSet) {
 	}
 }
 
-// ForEach calls fn for every member in increasing dense-index order (CC,
-// then machine registers, then virtual registers) — a deterministic order,
-// unlike the map-based set this type replaced.
+// Len returns the number of registers in the set.
+func (s RegSet) Len() int {
+	n := 0
+	for _, w := range s.words {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// ForEach calls fn for every member in increasing dense-index order: CC,
+// then the machine registers, then the virtual registers, each in register
+// order.
 func (s RegSet) ForEach(fn func(rtl.Reg)) {
 	for wi, w := range s.words {
 		for w != 0 {

@@ -8,21 +8,6 @@ import (
 	"repro/internal/rtl"
 )
 
-// regSet is a small map-based mutable register set, used for the
-// allocator's sparse bookkeeping (interference adjacency, spill temps,
-// Briggs neighbour counting). The dense liveness sets are RegSet bitsets.
-type regSet map[rtl.Reg]struct{}
-
-func (s regSet) add(r rtl.Reg) bool {
-	if _, ok := s[r]; ok {
-		return false
-	}
-	s[r] = struct{}{}
-	return true
-}
-
-func (s regSet) has(r rtl.Reg) bool { _, ok := s[r]; return ok }
-
 // PromoteLocals is the paper's "register assignment" phase: scalar locals
 // and parameters whose address is never taken are assigned to (virtual)
 // registers, turning frame traffic into register traffic. Parameters gain a
@@ -139,9 +124,9 @@ func AllocateRegisters(f *cfg.Func, m *machine.Machine) {
 	// temps accumulates the short-range temporaries created by spilling;
 	// they are never chosen as spill victims again (re-spilling them makes
 	// no progress).
-	temps := regSet{}
+	var temps RegSet
 	for round := 0; round < 60; round++ {
-		if tryColor(f, m, temps) {
+		if tryColor(f, m, &temps) {
 			return
 		}
 	}
@@ -149,7 +134,7 @@ func AllocateRegisters(f *cfg.Func, m *machine.Machine) {
 }
 
 // coalescer performs conservative copy coalescing. It builds the flow
-// edges, the liveness and the interference adjacency once and keeps them
+// edges, the liveness and the interference graph once and keeps them
 // exact across merges. Merging src into dst renames src to dst and deletes
 // the copy `dst = src`; nothing else changes, so:
 //
@@ -162,13 +147,15 @@ func AllocateRegisters(f *cfg.Func, m *machine.Machine) {
 // So a merge deletes src's node and recomputes dst's liveness and dst's
 // interference row alone (merge).
 type coalescer struct {
-	f   *cfg.Func
-	k   int
-	e   *cfg.Edges
-	lv  *Liveness
-	adj map[rtl.Reg]regSet
-	// Scratch for merge: per-block facts about the merged register, the
-	// instUses buffer and the row walk's live set.
+	f  *cfg.Func
+	k  int
+	e  *cfg.Edges
+	lv *Liveness
+	g  *interference
+	// Scratch: the merged neighbours of a candidate copy, per-block facts
+	// about the merged register, the instUses buffer and the row walk's
+	// live set.
+	merged        RegSet
 	kill, mention []bool
 	uses          []rtl.Reg
 	live          RegSet
@@ -179,7 +166,7 @@ func newCoalescer(f *cfg.Func, m *machine.Machine) *coalescer {
 	lv := ComputeLiveness(f, e)
 	return &coalescer{
 		f: f, k: m.NumRegs, e: e, lv: lv,
-		adj:     interferenceOf(f, lv, nil).adj,
+		g:       interferenceOf(f, lv, nil),
 		kill:    make([]bool, len(f.Blocks)),
 		mention: make([]bool, len(f.Blocks)),
 	}
@@ -197,6 +184,7 @@ func (c *coalescer) release() {
 // coalescing cannot turn a colourable graph uncolourable) — rewrites b to a
 // everywhere and drops the copy. Reports whether it coalesced anything.
 func (c *coalescer) coalesceOne() bool {
+	g := c.g
 	for _, b := range c.f.Blocks {
 		for ii := range b.Insts {
 			in := &b.Insts[ii]
@@ -207,26 +195,27 @@ func (c *coalescer) coalesceOne() bool {
 			if dst == src || !dst.IsVirtual() || !src.IsVirtual() {
 				continue
 			}
-			if c.adj[dst].has(src) {
+			if g.neighbours(dst).Has(src) {
 				continue // live ranges overlap; the copy is load-bearing
 			}
 			// Briggs: count merged neighbours with degree >= K.
+			c.merged.CopyFrom(*g.neighbours(dst))
+			c.merged.UnionWith(*g.neighbours(src))
 			significant := 0
-			seen := regSet{}
-			for n := range c.adj[dst] {
-				if seen.add(n) && len(c.adj[n]) >= c.k {
+			c.merged.ForEach(func(n rtl.Reg) {
+				if g.neighbours(n).Len() >= c.k {
 					significant++
 				}
-			}
-			for n := range c.adj[src] {
-				if seen.add(n) && len(c.adj[n]) >= c.k {
-					significant++
-				}
-			}
+			})
 			if significant >= c.k {
 				continue
 			}
-			renameReg(c.f, src, dst)
+			mapRegs(c.f, func(r rtl.Reg) rtl.Reg {
+				if r == src {
+					return dst
+				}
+				return r
+			})
 			// The copy became `a = a`; delete it.
 			b.Insts = append(b.Insts[:ii], b.Insts[ii+1:]...)
 			c.merge(dst, src)
@@ -236,26 +225,23 @@ func (c *coalescer) coalesceOne() bool {
 	return false
 }
 
-// merge brings the liveness and the adjacency up to date after src was
-// renamed to dst and their copy deleted.
+// merge brings the liveness and the interference graph up to date after
+// src was renamed to dst and their copy deleted.
 func (c *coalescer) merge(dst, src rtl.Reg) {
-	for n := range c.adj[src] {
-		delete(c.adj[n], src)
+	g := c.g
+	for _, r := range [...]rtl.Reg{src, dst} {
+		row := g.neighbours(r)
+		row.ForEach(func(n rtl.Reg) { g.neighbours(n).Remove(r) })
+		row.Clear()
+		g.nodes.Remove(r)
 	}
-	delete(c.adj, src)
-	for n := range c.adj[dst] {
-		delete(c.adj[n], dst)
-	}
-	delete(c.adj, dst)
 	if !c.relive(dst, src) {
 		return // the copy was dst's last occurrence: no node
 	}
-	// Every register in the row occurs in the code, so it has a node.
-	row := c.row(dst)
-	for n := range row {
-		c.adj[n].add(dst)
-	}
-	c.adj[dst] = row
+	g.nodes.Add(dst)
+	row := g.neighbours(dst)
+	c.row(dst, row)
+	row.ForEach(func(n rtl.Reg) { g.neighbours(n).Add(dst) })
 }
 
 // relive recomputes r's bit in every block's live-in and live-out set by a
@@ -314,11 +300,11 @@ func (c *coalescer) relive(r, gone rtl.Reg) bool {
 	return occurs
 }
 
-// row recomputes r's interference row from the current liveness, walking
-// backward only the blocks where r is live out or mentioned: r is live
-// nowhere else. The edges are the ones interferenceOf adds, seen from r.
-func (c *coalescer) row(r rtl.Reg) regSet {
-	row := regSet{}
+// row adds r's interference neighbours, from the current liveness, to
+// row, walking backward only the blocks where r is live out or mentioned:
+// r is live nowhere else. The edges are the ones interferenceOf adds, seen
+// from r.
+func (c *coalescer) row(r rtl.Reg, row *RegSet) {
 	for i, b := range c.f.Blocks {
 		if !c.mention[i] && !c.lv.Out[i].Has(r) {
 			continue
@@ -335,11 +321,11 @@ func (c *coalescer) row(r rtl.Reg) regSet {
 			case d == r:
 				c.live.ForEach(func(l rtl.Reg) {
 					if l != copySrc && l != r && l.IsVirtual() {
-						row.add(l)
+						row.Add(l)
 					}
 				})
 			case d != rtl.RegNone && d.IsVirtual() && copySrc != r && c.live.Has(r):
-				row.add(d)
+				row.Add(d)
 			}
 			if d != rtl.RegNone {
 				c.live.Remove(d)
@@ -350,42 +336,38 @@ func (c *coalescer) row(r rtl.Reg) regSet {
 			}
 		}
 	}
-	return row
 }
 
-// renameReg rewrites every occurrence of register old to new.
-func renameReg(f *cfg.Func, old, new rtl.Reg) {
-	rw := func(o *rtl.Operand) {
-		switch o.Kind {
-		case rtl.OReg:
-			if o.Reg == old {
-				o.Reg = new
-			}
-		case rtl.OMem:
-			if o.Reg == old {
-				o.Reg = new
-			}
-			if o.Index == old {
-				o.Index = new
-			}
-		}
-	}
+// mapRegs replaces every register operand of f, memory bases and indexes
+// included, by fn of it; fn must map rtl.RegNone to itself.
+func mapRegs(f *cfg.Func, fn func(rtl.Reg) rtl.Reg) {
 	for _, b := range f.Blocks {
 		for ii := range b.Insts {
 			in := &b.Insts[ii]
-			rw(&in.Dst)
-			rw(&in.Src)
-			rw(&in.Src2)
+			for _, o := range [...]*rtl.Operand{&in.Dst, &in.Src, &in.Src2} {
+				switch o.Kind {
+				case rtl.OReg:
+					o.Reg = fn(o.Reg)
+				case rtl.OMem:
+					o.Reg, o.Index = fn(o.Reg), fn(o.Index)
+				}
+			}
 		}
 	}
 }
 
 // interference is the allocator's view of a function: the interference
-// graph over virtual registers and loop-depth-weighted use counts.
+// graph over the virtual registers that occur in the code, and their
+// loop-depth-weighted use counts. Rows and counts are indexed by
+// r - rtl.VRegBase.
 type interference struct {
-	adj      map[rtl.Reg]regSet
-	useCount map[rtl.Reg]int
+	nodes RegSet
+	adj   []RegSet
+	uses  []int
 }
+
+// neighbours returns virtual register r's row.
+func (g *interference) neighbours(r rtl.Reg) *RegSet { return &g.adj[r-rtl.VRegBase] }
 
 // buildInterference computes the interference graph with spill costs.
 func buildInterference(f *cfg.Func) *interference {
@@ -416,24 +398,20 @@ func buildInterference(f *cfg.Func) *interference {
 }
 
 // interferenceOf builds the interference graph from a liveness; with a nil
-// depthWeight it leaves the use counts empty. A copy's source does not
+// depthWeight it leaves the use counts nil. A copy's source does not
 // interfere with its destination, which both enables coalescing and avoids
-// wasting a colour on pure moves.
+// wasting a colour on pure moves. Every row is sized for all of f's
+// virtual registers, so adding an edge never allocates.
 func interferenceOf(f *cfg.Func, lv *Liveness, depthWeight []int) *interference {
-	g := &interference{adj: map[rtl.Reg]regSet{}, useCount: map[rtl.Reg]int{}}
-	ensure := func(r rtl.Reg) {
-		if g.adj[r] == nil {
-			g.adj[r] = regSet{}
-		}
+	nv := f.NVRegs
+	nw := (virtBase + nv + 63) / 64
+	backing := make([]uint64, nv*nw)
+	g := &interference{adj: make([]RegSet, nv)}
+	for i := range g.adj {
+		g.adj[i].words = backing[i*nw : (i+1)*nw : (i+1)*nw]
 	}
-	addEdge := func(a, b rtl.Reg) {
-		if a == b || !a.IsVirtual() || !b.IsVirtual() {
-			return
-		}
-		ensure(a)
-		ensure(b)
-		g.adj[a].add(b)
-		g.adj[b].add(a)
+	if depthWeight != nil {
+		g.uses = make([]int, nv)
 	}
 	var scratch []rtl.Reg
 	var live RegSet
@@ -443,14 +421,17 @@ func interferenceOf(f *cfg.Func, lv *Liveness, depthWeight []int) *interference 
 			in := &b.Insts[ii]
 			d := instDef(in)
 			if d != rtl.RegNone && d.IsVirtual() {
-				ensure(d)
-				var copySrc rtl.Reg = rtl.RegNone
+				g.nodes.Add(d)
+				copySrc := rtl.RegNone
 				if in.Kind == rtl.Move && in.Src.Kind == rtl.OReg {
 					copySrc = in.Src.Reg
 				}
+				// A live register is read somewhere, so it is a node too.
+				row := g.neighbours(d)
 				live.ForEach(func(l rtl.Reg) {
-					if l != copySrc {
-						addEdge(d, l)
+					if l != copySrc && l != d && l.IsVirtual() {
+						row.Add(l)
+						g.neighbours(l).Add(d)
 					}
 				})
 			}
@@ -461,9 +442,9 @@ func interferenceOf(f *cfg.Func, lv *Liveness, depthWeight []int) *interference 
 			for _, r := range scratch {
 				live.Add(r)
 				if r.IsVirtual() {
-					ensure(r)
-					if depthWeight != nil {
-						g.useCount[r] += depthWeight[b.Index]
+					g.nodes.Add(r)
+					if g.uses != nil {
+						g.uses[r-rtl.VRegBase] += depthWeight[b.Index]
 					}
 				}
 			}
@@ -474,65 +455,67 @@ func interferenceOf(f *cfg.Func, lv *Liveness, depthWeight []int) *interference 
 
 // tryColor attempts one colouring; on failure it inserts spill code for the
 // chosen victims and reports false.
-func tryColor(f *cfg.Func, m *machine.Machine, temps regSet) bool {
+func tryColor(f *cfg.Func, m *machine.Machine, temps *RegSet) bool {
 	g := buildInterference(f)
-	adj, useCount := g.adj, g.useCount
-	if len(adj) == 0 {
+	// The nodes in register order: each pick below takes the first of
+	// its candidates in this order, so the lowest register wins a tie.
+	var nodes []rtl.Reg
+	g.nodes.ForEach(func(r rtl.Reg) { nodes = append(nodes, r) })
+	if len(nodes) == 0 {
 		return true
 	}
 	// Chaitin–Briggs simplification with optimistic colouring.
 	k := m.NumRegs
-	degree := map[rtl.Reg]int{}
-	for r, s := range adj {
-		degree[r] = len(s)
+	degree := make([]int, len(g.adj))
+	for _, r := range nodes {
+		degree[r-rtl.VRegBase] = g.neighbours(r).Len()
 	}
-	removed := regSet{}
-	var stack []rtl.Reg
-	nodes := make([]rtl.Reg, 0, len(adj))
-	for r := range adj {
-		nodes = append(nodes, r)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	var removed RegSet
+	stack := make([]rtl.Reg, 0, len(nodes))
 	for len(stack) < len(nodes) {
 		picked := rtl.RegNone
 		for _, r := range nodes {
-			if !removed.has(r) && degree[r] < k {
+			if !removed.Has(r) && degree[r-rtl.VRegBase] < k {
 				picked = r
 				break
 			}
 		}
 		if picked == rtl.RegNone {
 			// Optimistic: push the cheapest high-degree node.
-			best, bestScore := rtl.RegNone, 0.0
+			bestScore := 0.0
 			for _, r := range nodes {
-				if removed.has(r) {
+				if removed.Has(r) {
 					continue
 				}
-				score := float64(useCount[r]+1) / float64(degree[r]+1)
-				if best == rtl.RegNone || score < bestScore {
-					best, bestScore = r, score
+				i := r - rtl.VRegBase
+				score := float64(g.uses[i]+1) / float64(degree[i]+1)
+				if picked == rtl.RegNone || score < bestScore {
+					picked, bestScore = r, score
 				}
 			}
-			picked = best
 		}
-		removed.add(picked)
+		removed.Add(picked)
 		stack = append(stack, picked)
-		for n := range adj[picked] {
-			if !removed.has(n) {
-				degree[n]--
+		g.neighbours(picked).ForEach(func(n rtl.Reg) {
+			if !removed.Has(n) {
+				degree[n-rtl.VRegBase]--
 			}
-		}
+		})
 	}
-	color := map[rtl.Reg]int{}
-	var spills []rtl.Reg
+	color := make([]int, len(g.adj))
+	for i := range color {
+		color[i] = -1
+	}
+	used := make([]bool, k)
+	var victims RegSet
 	for i := len(stack) - 1; i >= 0; i-- {
 		r := stack[i]
-		used := make([]bool, k)
-		for n := range adj[r] {
-			if c, ok := color[n]; ok {
+		clear(used)
+		g.neighbours(r).ForEach(func(n rtl.Reg) {
+			if c := color[n-rtl.VRegBase]; c >= 0 {
 				used[c] = true
 			}
-		}
+		})
 		assigned := -1
 		for c := 0; c < k; c++ {
 			if !used[c] {
@@ -541,85 +524,55 @@ func tryColor(f *cfg.Func, m *machine.Machine, temps regSet) bool {
 			}
 		}
 		if assigned < 0 {
-			spills = append(spills, r)
+			victims.Add(g.victim(r, *temps))
 			continue
 		}
-		color[r] = assigned
+		color[r-rtl.VRegBase] = assigned
 	}
-	if len(spills) > 0 {
-		// Map each uncolourable node to a spill victim that can actually
-		// relieve pressure: the node itself unless it is a spill
-		// temporary, in which case the cheapest interfering non-temporary.
-		victims := regSet{}
-		for _, r := range spills {
-			v := r
-			if temps.has(r) {
-				v = rtl.RegNone
-				bestScore := 0.0
-				for n := range adj[r] {
-					if temps.has(n) {
-						continue
-					}
-					score := float64(useCount[n]+1) / float64(len(adj[n])+1)
-					// Tie-break on the register number: adj is a map, so a
-					// strict < here would leave the victim to iteration
-					// order and make spill slots (and thus the whole
-					// compile) nondeterministic.
-					if v == rtl.RegNone || score < bestScore || score == bestScore && n < v {
-						v, bestScore = n, score
-					}
-				}
-				if v == rtl.RegNone {
-					v = r // pathological; spill the temp anyway
-				}
-			}
-			victims.add(v)
-		}
+	if victims.Len() > 0 {
 		// Spill in register order: the order assigns frame slots and fresh
-		// temporaries, so iterating the set directly would compile the same
-		// function to different (equivalent) code run to run.
-		ordered := make([]rtl.Reg, 0, len(victims))
-		for v := range victims {
-			ordered = append(ordered, v)
-		}
-		sort.Slice(ordered, func(i, j int) bool { return ordered[i] < ordered[j] })
-		for _, v := range ordered {
-			spillReg(f, v, temps)
-		}
+		// temporaries.
+		victims.ForEach(func(v rtl.Reg) { spillReg(f, v, temps) })
 		return false
 	}
 	// Rewrite virtual registers with their colours.
-	rewrite := func(o *rtl.Operand) {
-		switch o.Kind {
-		case rtl.OReg:
-			if o.Reg.IsVirtual() {
-				o.Reg = rtl.FirstAlloc + rtl.Reg(color[o.Reg])
-			}
-		case rtl.OMem:
-			if o.Reg.IsVirtual() {
-				o.Reg = rtl.FirstAlloc + rtl.Reg(color[o.Reg])
-			}
-			if o.Index != rtl.RegNone && o.Index.IsVirtual() {
-				o.Index = rtl.FirstAlloc + rtl.Reg(color[o.Index])
-			}
+	mapRegs(f, func(r rtl.Reg) rtl.Reg {
+		if r.IsVirtual() {
+			return rtl.FirstAlloc + rtl.Reg(color[r-rtl.VRegBase])
 		}
-	}
-	for _, b := range f.Blocks {
-		for ii := range b.Insts {
-			in := &b.Insts[ii]
-			rewrite(&in.Dst)
-			rewrite(&in.Src)
-			rewrite(&in.Src2)
-		}
-	}
+		return r
+	})
 	return true
+}
+
+// victim maps an uncolourable node to a spill victim that can actually
+// relieve pressure: the node itself unless it is a spill temporary, in
+// which case the lowest-numbered cheapest interfering non-temporary.
+func (g *interference) victim(r rtl.Reg, temps RegSet) rtl.Reg {
+	if !temps.Has(r) {
+		return r
+	}
+	v, bestScore := rtl.RegNone, 0.0
+	g.neighbours(r).ForEach(func(n rtl.Reg) {
+		if temps.Has(n) {
+			return
+		}
+		score := float64(g.uses[n-rtl.VRegBase]+1) / float64(g.neighbours(n).Len()+1)
+		if v == rtl.RegNone || score < bestScore {
+			v, bestScore = n, score
+		}
+	})
+	if v == rtl.RegNone {
+		return r // pathological; spill the temp anyway
+	}
+	return v
 }
 
 // spillReg rewrites every use/def of r through a dedicated frame slot with
 // short-lived temporaries. A register whose only definition materializes a
 // constant or address is rematerialized at each use instead of being kept
 // in memory.
-func spillReg(f *cfg.Func, r rtl.Reg, temps regSet) {
+func spillReg(f *cfg.Func, r rtl.Reg, temps *RegSet) {
 	if rematerialize(f, r, temps) {
 		return
 	}
@@ -639,7 +592,7 @@ func spillReg(f *cfg.Func, r rtl.Reg, temps regSet) {
 				continue
 			}
 			t := f.NewVReg()
-			temps.add(t)
+			temps.Add(t)
 			if reads {
 				out = append(out, rtl.Inst{Kind: rtl.Move, Dst: rtl.R(t), Src: rtl.Local(slot)})
 				substituteReg(&in, r, rtl.R(t))
@@ -664,7 +617,7 @@ func spillReg(f *cfg.Func, r rtl.Reg, temps regSet) {
 // value into a fresh short-lived temporary (or to use the constant operand
 // directly when no addressing is involved), and the single definition is
 // left for dead-variable elimination. Reports whether it applied.
-func rematerialize(f *cfg.Func, r rtl.Reg, temps regSet) bool {
+func rematerialize(f *cfg.Func, r rtl.Reg, temps *RegSet) bool {
 	var defOp rtl.Operand
 	defs := 0
 	for _, b := range f.Blocks {
@@ -697,7 +650,7 @@ func rematerialize(f *cfg.Func, r rtl.Reg, temps regSet) bool {
 				continue
 			}
 			t := f.NewVReg()
-			temps.add(t)
+			temps.Add(t)
 			out = append(out, rtl.Inst{Kind: rtl.Move, Dst: rtl.R(t), Src: defOp})
 			substituteReg(&in, r, rtl.R(t))
 			out = append(out, in)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/cfg"
 	"repro/internal/rtl"
@@ -59,10 +58,6 @@ type Config struct {
 	// outside [0, MemCells) is ErrFault. Memory is allocated on demand as
 	// stores reach it; a cell never written reads 0.
 	MemCells int64
-	// Trace, when non-nil, receives one line per executed instruction:
-	// function, block label, and the instruction text. Expensive; for
-	// debugging miscompiles.
-	Trace io.Writer
 	// Profile enables per-block execution counting (one counter increment
 	// per block entered); the counts are returned in Result.Profile.
 	Profile bool
@@ -109,7 +104,6 @@ type machineState struct {
 	steps   int64
 	max     int64
 	onFetch func(addr, size int64)
-	trace   io.Writer
 	args    []int64 // pending outgoing arguments
 	// prof counts block entries per [function][block]; nil when profiling
 	// is disabled.
@@ -142,7 +136,6 @@ func run(p *cfg.Program, cfgr Config) (*Result, error) {
 		in:       cfgr.Input,
 		max:      max,
 		onFetch:  cfgr.OnFetch,
-		trace:    cfgr.Trace,
 	}
 	if m.onFetch != nil && cfgr.Layout == nil {
 		return nil, errors.New("vm: OnFetch requires a Layout")
@@ -273,7 +266,7 @@ func (m *machineState) exec(fn *function, fi int32, regs []int64, fp int64) (int
 	if m.prof != nil {
 		prof = m.prof[fi]
 	}
-	onFetch, trace := m.onFetch, m.trace
+	onFetch := m.onFetch
 	// Condition code operand values at the frame's last Cmp.
 	var ccX, ccY int64
 	bi := 0
@@ -312,13 +305,7 @@ func (m *machineState) exec(fn *function, fi int32, regs []int64, fp int64) (int
 				// bubble it is.
 				annulled = false
 				m.counts.Nops++
-				if trace != nil {
-					fmt.Fprintf(trace, "%s %s\t(squashed) %s\n", fn.src.Name, fn.src.Blocks[bi].Label, in.orig)
-				}
 				continue
-			}
-			if trace != nil {
-				fmt.Fprintf(trace, "%s %s\t%s\n", fn.src.Name, fn.src.Blocks[bi].Label, in.orig)
 			}
 			switch in.kind {
 			case rtl.Move:

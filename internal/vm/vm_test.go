@@ -1,7 +1,6 @@
 package vm_test
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/mcc"
@@ -362,20 +361,5 @@ int main() {
 }`, "")
 	if got := string(res.Output); got != "19" {
 		t.Errorf("output = %q, want 19", got)
-	}
-}
-
-func TestTraceOutput(t *testing.T) {
-	prog, err := mcc.Compile(`int main() { putchar('x'); return 0; }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var trace strings.Builder
-	if _, err := vm.Run(prog, vm.Config{Trace: &trace}); err != nil {
-		t.Fatal(err)
-	}
-	out := trace.String()
-	if !strings.Contains(out, "call putchar") || !strings.Contains(out, "PC = RT") {
-		t.Errorf("trace looks wrong:\n%s", out)
 	}
 }
